@@ -2,9 +2,9 @@
 
 #include <algorithm>
 
+#include "engine/partition.hh"
 #include "engine/run_guard.hh"
 #include "obs/obs.hh"
-#include "util/union_find.hh"
 
 namespace azoo {
 
@@ -71,43 +71,29 @@ LazyDfaEngine::LazyDfaEngine(const Automaton &a,
                              const LazyDfaOptions &opts)
     : a_(a), opts_(opts)
 {
-    const size_t n = a.size();
-
-    // Components over activation *and* reset edges: a counter must
-    // stay with everything that counts or resets it, so the split
-    // below can never cut a counter off from its sources.
-    UnionFind uf(n);
-    for (ElementId i = 0; i < n; ++i) {
-        for (auto t : a.element(i).out)
-            uf.unite(i, t);
-        for (auto t : a.element(i).resetOut)
-            uf.unite(i, t);
-    }
-    std::vector<uint8_t> rootHasCounter(n, 0);
-    for (ElementId i = 0; i < n; ++i) {
+    // A counter stays with everything that counts or resets it: the
+    // partition's components span activation *and* reset edges.
+    const ComponentPartition parts(a);
+    std::vector<uint32_t> groupOf(parts.count(),
+                                  ComponentPartition::kNoGroup);
+    std::vector<ElementId> lazyMembers;
+    for (ElementId i = 0; i < a.size(); ++i) {
         if (a.element(i).kind == ElementKind::kCounter)
-            rootHasCounter[uf.find(i)] = 1;
+            groupOf[parts.of(i)] = 0;
     }
-
-    std::vector<ElementId> lazyMembers, fallbackMembers;
-    for (ElementId i = 0; i < n; ++i) {
-        if (rootHasCounter[uf.find(i)])
-            fallbackMembers.push_back(i);
-        else
+    for (ElementId i = 0; i < a.size(); ++i) {
+        if (groupOf[parts.of(i)] == ComponentPartition::kNoGroup)
             lazyMembers.push_back(i);
     }
-    std::vector<uint8_t> fallbackRootSeen(n, 0);
-    for (ElementId i : fallbackMembers) {
-        const uint32_t r = uf.find(i);
-        if (!fallbackRootSeen[r]) {
-            fallbackRootSeen[r] = 1;
-            ++fallbackComponentCount_;
-        }
-    }
+    fallbackComponentCount_ = static_cast<size_t>(
+        std::count(groupOf.begin(), groupOf.end(), 0u));
 
     buildLazyPart(lazyMembers);
-    if (!fallbackMembers.empty())
-        buildFallback(a, fallbackMembers);
+    if (fallbackComponentCount_) {
+        ComponentPartition::Group fb = std::move(parts.split(groupOf, 1)[0]);
+        fallbackEngine_ = std::make_unique<NfaEngine>(fb.sub);
+        fallbackToGlobal_ = std::move(fb.toGlobal);
+    }
 
     pool_.emplace_back(); // index 0 = the empty report list
 }
@@ -207,34 +193,6 @@ LazyDfaEngine::buildLazyPart(const std::vector<ElementId> &members)
         classRep_.push_back(0);
 
     inNext_.assign(m, 0);
-}
-
-void
-LazyDfaEngine::buildFallback(const Automaton &a,
-                             const std::vector<ElementId> &members)
-{
-    fallback_ = std::make_unique<Automaton>(a.name() + ".lazy-fallback");
-    std::vector<ElementId> toLocal(a.size(), kNoElement);
-    for (ElementId id : members) {
-        const Element &e = a.element(id);
-        ElementId local;
-        if (e.kind == ElementKind::kSte) {
-            local = fallback_->addSte(e.symbols, e.start, e.reporting,
-                                      e.reportCode);
-        } else {
-            local = fallback_->addCounter(e.target, e.mode, e.reporting,
-                                          e.reportCode);
-        }
-        toLocal[id] = local;
-        fallbackToGlobal_.push_back(id);
-    }
-    for (ElementId id : members) {
-        for (auto t : a.element(id).out)
-            fallback_->addEdge(toLocal[id], toLocal[t]);
-        for (auto t : a.element(id).resetOut)
-            fallback_->addResetEdge(toLocal[id], toLocal[t]);
-    }
-    fallbackEngine_ = std::make_unique<NfaEngine>(*fallback_);
 }
 
 uint32_t
@@ -415,69 +373,27 @@ LazyDfaEngine::simulate(const uint8_t *input, size_t len,
     }
 
     // Hybrid path: both halves record their full report streams so
-    // the merge can reconstruct reportingCycles (distinct offsets)
-    // and byCode exactly; the caller's recording options are applied
-    // to the merged stream afterwards.
-    SimOptions inner;
-    inner.recordReports = true;
-    inner.reportRecordLimit = ~uint64_t(0);
-    inner.countByCode = false;
-    inner.computeActiveSet = opts.computeActiveSet;
-    inner.guard = opts.guard;
-
-    SimResult lz;
-    simulateLazy(input, len, inner, lz);
+    // the canonical merge can reconstruct reportingCycles and byCode
+    // exactly; the caller's recording options apply to the merge.
+    const SimOptions inner = recordAllOptions(opts);
+    simulateLazy(input, len, inner, res);
     // The fallback interpreter only scans the prefix the lazy half
     // consumed; if its guard poll truncates even earlier, the merged
-    // result shrinks to the shorter prefix below.
+    // result shrinks to the shorter prefix.
     SimResult fb = fallbackEngine_->simulate(
-        input, static_cast<size_t>(lz.symbols), fallbackScratch_,
+        input, static_cast<size_t>(res.symbols), fallbackScratch_,
         inner);
-    for (Report &r : fb.reports)
-        r.element = fallbackToGlobal_[r.element];
-    // The interpreter emits same-cycle reports in propagation order;
-    // normalize, then merge the two (now both canonical) streams.
-    std::sort(fb.reports.begin(), fb.reports.end());
-
-    const uint64_t m = std::min(lz.symbols, fb.symbols);
-    if (lz.symbols > m) {
-        std::erase_if(lz.reports, [m](const Report &r) {
-            return r.offset >= m;
-        });
-        lz.reportCount = lz.reports.size();
+    if (fb.symbols < res.symbols) {
+        res.symbols = fb.symbols;
+        res.guardStatus = fb.guardStatus;
     }
-    res.symbols = m;
-    res.guardStatus =
-        !fb.guardStatus.ok() ? fb.guardStatus : lz.guardStatus;
-    res.reportCount = lz.reportCount + fb.reportCount;
     // When truncated, the two halves may have scanned slightly
     // different prefixes; totalEnabled then covers their union and
     // can overcount the merged prefix by up to one guard interval.
-    res.totalEnabled = lz.totalEnabled + fb.totalEnabled;
-    res.lazyFlushes = lz.lazyFlushes;
-    res.lazyStates = lz.lazyStates;
-    res.lazyFallbackComponents = fallbackComponentCount_;
-
-    res.reports.resize(lz.reports.size() + fb.reports.size());
-    std::merge(lz.reports.begin(), lz.reports.end(),
-               fb.reports.begin(), fb.reports.end(),
-               res.reports.begin());
-
-    uint64_t lastOffset = ~uint64_t(0);
-    for (const Report &r : res.reports) {
-        if (r.offset != lastOffset) {
-            ++res.reportingCycles;
-            lastOffset = r.offset;
-        }
-        if (opts.countByCode)
-            ++res.byCode[r.code];
-    }
-
-    if (!opts.recordReports)
-        res.reports.clear();
-    else if (res.reports.size() > opts.reportRecordLimit)
-        res.reports.resize(
-            static_cast<size_t>(opts.reportRecordLimit));
+    res.totalEnabled += fb.totalEnabled;
+    std::vector<Report> reports = std::move(res.reports);
+    appendGlobal(reports, fb.reports, fallbackToGlobal_);
+    mergeCanonical(std::move(reports), opts, res);
     return res;
 }
 

@@ -113,8 +113,6 @@ class LazyDfaEngine
     static constexpr uint32_t kUnknown = ~uint32_t(0);
 
     void buildLazyPart(const std::vector<ElementId> &members);
-    void buildFallback(const Automaton &a,
-                       const std::vector<ElementId> &members);
 
     /** Intern a sorted local-id set; returns its state id. */
     uint32_t intern(const std::vector<uint32_t> &set);
@@ -188,7 +186,6 @@ class LazyDfaEngine
     std::vector<std::pair<ElementId, uint32_t>> repScratch_;
 
     // ---- counter fallback ----
-    std::unique_ptr<Automaton> fallback_;
     std::unique_ptr<NfaEngine> fallbackEngine_;
     std::vector<ElementId> fallbackToGlobal_;
     size_t fallbackComponentCount_ = 0;

@@ -6,6 +6,7 @@
 #include <unordered_map>
 
 #include "analysis/profile.hh"
+#include "engine/partition.hh"
 #include "obs/obs.hh"
 #include "util/logging.hh"
 
@@ -15,12 +16,12 @@ MultiDfaEngine::MultiDfaEngine(const Automaton &a,
                                const MultiDfaOptions &opts)
     : a_(a), opts_(opts)
 {
-    uint32_t comp_count = 0;
-    auto labels = a.connectedComponents(comp_count);
+    const ComponentPartition parts(a);
+    const uint32_t comp_count = parts.count();
 
     std::vector<std::vector<ElementId>> members(comp_count);
     for (ElementId i = 0; i < a.size(); ++i)
-        members[labels[i]].push_back(i);
+        members[parts.of(i)].push_back(i);
 
     // Profiles are indexed by the same component ids (inferProfiles()
     // enumerates connectedComponents() labels in order); ignore a
@@ -33,7 +34,8 @@ MultiDfaEngine::MultiDfaEngine(const Automaton &a,
         std::bit_width(uint64_t(opts_.maxDfaStatesPerComponent)));
     uint64_t profileSkips = 0;
 
-    std::vector<const std::vector<ElementId> *> fallback_comps;
+    std::vector<uint32_t> fallbackGroup(comp_count,
+                                        ComponentPartition::kNoGroup);
     for (uint32_t c = 0; c < comp_count; ++c) {
         bool has_counter = false;
         for (auto id : members[c]) {
@@ -56,7 +58,8 @@ MultiDfaEngine::MultiDfaEngine(const Automaton &a,
             buildDfa(members[c], dfa)) {
             dfas_.push_back(std::move(dfa));
         } else {
-            fallback_comps.push_back(&members[c]);
+            fallbackGroup[c] = 0;
+            ++fallbackComponentCount_;
         }
     }
     if (obs::kEnabled && profileSkips) {
@@ -65,34 +68,11 @@ MultiDfaEngine::MultiDfaEngine(const Automaton &a,
             .add(profileSkips);
     }
 
-    fallbackComponentCount_ = fallback_comps.size();
-    if (!fallback_comps.empty()) {
-        fallback_ = std::make_unique<Automaton>(a.name() + ".fallback");
-        std::unordered_map<ElementId, ElementId> to_local;
-        for (const auto *comp : fallback_comps) {
-            for (auto id : *comp) {
-                const Element &e = a.element(id);
-                ElementId local;
-                if (e.kind == ElementKind::kSte) {
-                    local = fallback_->addSte(e.symbols, e.start,
-                                              e.reporting, e.reportCode);
-                } else {
-                    local = fallback_->addCounter(e.target, e.mode,
-                                                  e.reporting,
-                                                  e.reportCode);
-                }
-                to_local[id] = local;
-                fallbackToGlobal_.push_back(id);
-            }
-        }
-        for (const auto *comp : fallback_comps) {
-            for (auto id : *comp) {
-                for (auto t : a.element(id).out)
-                    fallback_->addEdge(to_local[id], to_local[t]);
-                for (auto t : a.element(id).resetOut)
-                    fallback_->addResetEdge(to_local[id], to_local[t]);
-            }
-        }
+    if (fallbackComponentCount_) {
+        ComponentPartition::Group fb =
+            std::move(parts.split(fallbackGroup, 1)[0]);
+        fallback_ = std::make_unique<Automaton>(std::move(fb.sub));
+        fallbackToGlobal_ = std::move(fb.toGlobal);
         LazyDfaOptions lazy_opts;
         lazy_opts.cacheBytes = opts_.lazyCacheBytes;
         fallbackEngine_ =

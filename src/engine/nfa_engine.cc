@@ -1,6 +1,6 @@
 #include "engine/nfa_engine.hh"
 
-#include "engine/run_guard.hh"
+#include "engine/interpreter.hh"
 #include "obs/obs.hh"
 #include "util/logging.hh"
 
@@ -55,182 +55,61 @@ NfaEngine::NfaEngine(const NfaExecImage &image)
     noteConstruction("engine.nfa.image_adoptions");
 }
 
+size_t
+NfaEngine::footprintBytes() const
+{
+    if (!owned_)
+        return sizeof(*this); // the image belongs to its artifact
+    const NfaExecTables &t = *owned_;
+    size_t n = sizeof(*this) + sizeof(t);
+    n += (t.edgeBegin.capacity() + t.resetBegin.capacity() +
+          t.reportCode.capacity() + t.counterTarget.capacity() +
+          t.maiBegin.capacity()) * sizeof(uint32_t);
+    n += (t.edgeTarget.capacity() + t.resetTarget.capacity() +
+          t.allInput.capacity() + t.startOfData.capacity() +
+          t.counters.capacity() + t.maiTarget.capacity()) *
+        sizeof(ElementId);
+    n += t.label.capacity() * sizeof(LabelWords);
+    n += t.reporting.capacity() + t.isCounter.capacity() +
+        t.isAllInput.capacity() + t.counterMode.capacity();
+    return n;
+}
+
+uint64_t
+NfaEngine::resume(EngineScratch &scratch, uint64_t from, uint64_t to,
+                  const uint8_t *bytes, const SimOptions &opts,
+                  SimResult &res, uint64_t &lastReportAt) const
+{
+    return interpret(
+        t_, scratch, 0, from, to, bytes, from,
+        opts.computeActiveSet ? &res.totalEnabled : nullptr, opts.guard,
+        res.guardStatus, [&](uint64_t at, ElementId id, uint32_t code) {
+            ++res.reportCount;
+            if (at != lastReportAt) {
+                lastReportAt = at;
+                ++res.reportingCycles;
+            }
+            if (opts.recordReports &&
+                res.reports.size() < opts.reportRecordLimit)
+                res.reports.push_back({at, id, code});
+            if (opts.countByCode)
+                ++res.byCode[code];
+        });
+}
+
 SimResult
 NfaEngine::simulate(const uint8_t *input, size_t len,
                     EngineScratch &scratch, const SimOptions &opts) const
 {
-    const size_t n = t_.elementCount;
     SimResult res;
-    res.symbols = len;
-
-    scratch.beginRun(n, t_.counters);
-    const uint64_t base = scratch.base;
-    std::vector<uint64_t> &stamp = scratch.stamp;
-    std::vector<ElementId> &cur = scratch.cur;
-    std::vector<ElementId> &next = scratch.next;
-
-    // Counter state.
-    std::vector<uint32_t> &value = scratch.value;
-    std::vector<uint64_t> &countStamp = scratch.countStamp;
-    std::vector<uint64_t> &resetStamp = scratch.resetStamp;
-    std::vector<uint8_t> &latched = scratch.latched;
-    std::vector<ElementId> &counted = scratch.counted;
-    std::vector<ElementId> &resets = scratch.resets;
-    std::vector<ElementId> &latchedList = scratch.latchedList;
-
-    const bool has_resets = !t_.resetTarget.empty();
-    const bool has_counters = !t_.counters.empty();
-
-    // Start-of-data states are enabled for cycle 0 only.
-    for (auto id : t_.startOfData) {
-        stamp[id] = base + 1;
-        next.push_back(id);
-    }
-
-    uint64_t last_report_cycle = ~uint64_t(0);
-    auto emit_report = [&](uint64_t t, ElementId id, uint32_t code) {
-        ++res.reportCount;
-        if (t != last_report_cycle) {
-            last_report_cycle = t;
-            ++res.reportingCycles;
-        }
-        if (opts.recordReports &&
-            res.reports.size() < opts.reportRecordLimit) {
-            res.reports.push_back({t, id, code});
-        }
-        if (opts.countByCode)
-            ++res.byCode[code];
-    };
-
-    for (uint64_t t = 0; t < len; ++t) {
-        if (opts.guard && (t & (kGuardCheckIntervalSymbols - 1)) == 0) {
-            Status st = opts.guard->check(t);
-            if (!st.ok()) {
-                // Partial result: everything recorded so far covers
-                // exactly the first t symbols.
-                res.symbols = t;
-                res.guardStatus = std::move(st);
-                scratch.endRun(len);
-                obs::noteGuardStop("engine.nfa",
-                                   res.guardStatus.code());
-                noteNfaRun(res, opts.computeActiveSet);
-                return res;
-            }
-        }
-        std::swap(cur, next);
-        next.clear();
-
-        // The active set counts states enabled through edges; states
-        // that are always enabled by construction (all-input starts)
-        // are excluded, matching VASim's accounting (e.g. Table I
-        // reports Snort's active set far below its start-state
-        // count).
-        if (opts.computeActiveSet)
-            res.totalEnabled += cur.size();
-
-        const uint8_t s = input[t];
-        const uint32_t word = s >> 6;
-        const uint64_t bit = uint64_t(1) << (s & 63);
-
-        // Process one matched element: report and propagate.
-        auto on_match = [&](ElementId id) {
-            if (t_.reporting[id])
-                emit_report(t, id, t_.reportCode[id]);
-            const uint32_t ebeg = t_.edgeBegin[id];
-            const uint32_t eend = t_.edgeBegin[id + 1];
-            if (!has_counters) {
-                for (uint32_t k = ebeg; k < eend; ++k) {
-                    const ElementId tgt = t_.edgeTarget[k];
-                    // All-input targets are permanently enabled and
-                    // handled by the indexed path below.
-                    if (!t_.isAllInput[tgt] &&
-                        stamp[tgt] != base + t + 2) {
-                        stamp[tgt] = base + t + 2;
-                        next.push_back(tgt);
-                    }
-                }
-                return;
-            }
-            for (uint32_t k = ebeg; k < eend; ++k) {
-                const ElementId tgt = t_.edgeTarget[k];
-                if (!t_.isCounter[tgt]) {
-                    if (!t_.isAllInput[tgt] &&
-                        stamp[tgt] != base + t + 2) {
-                        stamp[tgt] = base + t + 2;
-                        next.push_back(tgt);
-                    }
-                } else if (countStamp[tgt] != base + t + 1) {
-                    countStamp[tgt] = base + t + 1;
-                    counted.push_back(tgt);
-                }
-            }
-            if (has_resets) {
-                for (uint32_t k = t_.resetBegin[id];
-                     k < t_.resetBegin[id + 1]; ++k) {
-                    const ElementId tgt = t_.resetTarget[k];
-                    if (resetStamp[tgt] != base + t + 1) {
-                        resetStamp[tgt] = base + t + 1;
-                        resets.push_back(tgt);
-                    }
-                }
-            }
-        };
-
-        for (auto id : cur) {
-            if (t_.label[id][word] & bit)
-                on_match(id);
-        }
-        for (uint32_t k = t_.maiBegin[s]; k < t_.maiBegin[s + 1]; ++k)
-            on_match(t_.maiTarget[k]);
-
-        if (!has_counters)
-            continue;
-
-        // Counter settle phase: resets first, then counts.
-        for (auto c : resets) {
-            value[c] = 0;
-            if (latched[c]) {
-                latched[c] = 0;
-                std::erase(latchedList, c);
-            }
-        }
-        resets.clear();
-        for (auto c : counted) {
-            ++value[c];
-            if (value[c] != t_.counterTarget[c])
-                continue;
-            // Fire.
-            if (t_.reporting[c])
-                emit_report(t, c, t_.reportCode[c]);
-            for (uint32_t k = t_.edgeBegin[c]; k < t_.edgeBegin[c + 1];
-                 ++k) {
-                const ElementId tgt = t_.edgeTarget[k];
-                if (!t_.isAllInput[tgt] && stamp[tgt] != base + t + 2) {
-                    stamp[tgt] = base + t + 2;
-                    next.push_back(tgt);
-                }
-            }
-            if (t_.counterMode[c] == kExecModeLatch && !latched[c]) {
-                latched[c] = 1;
-                latchedList.push_back(c);
-            } else if (t_.counterMode[c] == kExecModeRollover) {
-                value[c] = 0;
-            }
-        }
-        counted.clear();
-        // Latched counters keep their successors enabled.
-        for (auto c : latchedList) {
-            for (uint32_t k = t_.edgeBegin[c]; k < t_.edgeBegin[c + 1];
-                 ++k) {
-                const ElementId tgt = t_.edgeTarget[k];
-                if (!t_.isAllInput[tgt] && stamp[tgt] != base + t + 2) {
-                    stamp[tgt] = base + t + 2;
-                    next.push_back(tgt);
-                }
-            }
-        }
-    }
+    startRun(t_, scratch);
+    uint64_t lastReportAt = ~uint64_t(0);
+    res.symbols = resume(scratch, 0, len, input, opts, res, lastReportAt);
     scratch.endRun(len);
+    // A guard stop leaves a partial result covering exactly the first
+    // res.symbols symbols.
+    if (!res.guardStatus.ok())
+        obs::noteGuardStop("engine.nfa", res.guardStatus.code());
     noteNfaRun(res, opts.computeActiveSet);
     return res;
 }

@@ -40,9 +40,11 @@ namespace azoo {
  *    engine.
  *
  * Either way, simulate() can be called repeatedly and is internally
- * stateless between calls. Per-run state lives in an EngineScratch —
- * pass one in to amortize its O(n) arrays across calls, or use the
- * convenience overloads, which allocate a fresh scratch per call.
+ * stateless between calls; it runs the shared interpreter kernel
+ * (engine/interpreter.hh) once over the whole input. Per-run state
+ * lives in an EngineScratch — pass one in to amortize its O(n)
+ * arrays across calls, or use the convenience overloads, which
+ * allocate a fresh scratch per call.
  * The engine is never mutated after construction, so one engine may
  * be shared by any number of threads simulating concurrently as long
  * as each thread uses its own scratch (ParallelRunner's batch mode
@@ -84,6 +86,27 @@ class NfaEngine
     {
         return simulate(input.data(), input.size(), scratch, opts);
     }
+
+    /**
+     * Resume a run opened with startRun() (engine/interpreter.hh) on
+     * @p scratch: simulate stream offsets [from, to), where bytes[0]
+     * is offset @p from, tallying reports and the active set into
+     * @p res under @p opts (@p lastReportAt carries the
+     * reporting-cycle state between calls). Returns the offset
+     * reached: @p to, or the poll point where opts.guard stopped the
+     * run (res.guardStatus then says why). simulate() is one resume
+     * over the whole input; StreamingSession resumes once per chunk.
+     */
+    uint64_t resume(EngineScratch &scratch, uint64_t from, uint64_t to,
+                    const uint8_t *bytes, const SimOptions &opts,
+                    SimResult &res, uint64_t &lastReportAt) const;
+
+    /** The compiled tables. */
+    const NfaExecImage &image() const { return t_; }
+
+    /** Resident bytes of the compiled tables (just the object when
+     *  the image is borrowed from an artifact). */
+    size_t footprintBytes() const;
 
   private:
     /** Owned tables when compiled from an Automaton; null when the

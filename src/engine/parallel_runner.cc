@@ -2,17 +2,41 @@
 
 #include <numeric>
 
+#include "engine/partition.hh"
 #include "engine/streaming.hh"
 #include "obs/obs.hh"
 #include "util/fault.hh"
 #include "util/logging.hh"
 #include "util/thread_pool.hh"
-#include "util/union_find.hh"
 
 namespace azoo {
 
+namespace {
+
+/** Feed @p in through @p sess in chunks of @p chunk bytes, stopping at
+ *  a short feed (the guard stopped the session; further chunks would
+ *  be refused). */
+template <typename Session>
+SimResult
+feedChunks(Session &&sess, const SimOptions &opts,
+           const std::vector<uint8_t> &in, size_t chunk)
+{
+    sess.options = opts;
+    for (size_t pos = 0; pos < in.size();) {
+        const size_t want = std::min(chunk, in.size() - pos);
+        const size_t got = sess.feed(in.data() + pos, want);
+        pos += got;
+        if (got < want)
+            break;
+    }
+    return sess.results();
+}
+
+} // namespace
+
 ParallelRunner::ParallelRunner(const Automaton &a, ParallelOptions opts)
-    : a_(a), opts_(std::move(opts)), engine_(a)
+    : a_(a), opts_(std::move(opts)),
+      engine_(std::make_shared<const NfaEngine>(a))
 {
     const size_t threads =
         opts_.threads ? opts_.threads : ThreadPool::hardwareThreads();
@@ -25,12 +49,13 @@ ParallelRunner::ParallelRunner(const Automaton &a, ParallelOptions opts)
         for (auto &e : slotLazy_)
             e = std::make_unique<LazyDfaEngine>(a_, lo);
     } else if (opts_.engine == ParallelEngine::kPlanned) {
-        profiles_ = analysis::inferProfiles(a_, opts_.plan.infer);
+        // One compile; slots and chunked streams execute it.
+        plan_ = std::make_shared<const CompiledPlan>(
+            a_, analysis::inferProfiles(a_, opts_.plan.infer),
+            opts_.plan);
         slotPlanned_.resize(pool_->size());
-        for (auto &e : slotPlanned_) {
-            e = std::make_unique<PlannedEngine>(a_, profiles_,
-                                                opts_.plan);
-        }
+        for (auto &e : slotPlanned_)
+            e = std::make_unique<PlannedEngine>(plan_);
     }
     buildShards(threads);
 }
@@ -46,46 +71,23 @@ ParallelRunner::threads() const
 void
 ParallelRunner::buildShards(size_t groups)
 {
-    const size_t n = a_.size();
-    if (n == 0)
+    if (a_.size() == 0)
         return;
 
-    // Components over activation *and* reset edges: a counter must
-    // stay in the same shard as everything that counts or resets it.
-    UnionFind uf(n);
-    for (ElementId i = 0; i < n; ++i) {
-        for (auto t : a_.element(i).out)
-            uf.unite(i, t);
-        for (auto t : a_.element(i).resetOut)
-            uf.unite(i, t);
-    }
-
-    // Component sizes, keyed by root.
-    std::vector<uint32_t> compOf(n);
-    std::vector<uint32_t> roots;
-    std::vector<uint64_t> compSize;
-    std::vector<uint32_t> compIndex(n, ~uint32_t(0));
-    for (ElementId i = 0; i < n; ++i) {
-        const uint32_t r = uf.find(i);
-        if (compIndex[r] == ~uint32_t(0)) {
-            compIndex[r] = static_cast<uint32_t>(roots.size());
-            roots.push_back(r);
-            compSize.push_back(0);
-        }
-        compOf[i] = compIndex[r];
-        ++compSize[compIndex[r]];
-    }
-
-    // LPT: biggest component first into the currently lightest shard.
-    const size_t g = std::min(groups, roots.size());
-    std::vector<uint32_t> order(roots.size());
+    // LPT over components (activation *and* reset edges, so a counter
+    // stays in the shard of everything that counts or resets it):
+    // biggest component first into the currently lightest shard.
+    const ComponentPartition parts(a_);
+    const std::vector<uint64_t> compSize = parts.sizes();
+    const size_t g = std::min<size_t>(groups, parts.count());
+    std::vector<uint32_t> order(parts.count());
     std::iota(order.begin(), order.end(), 0);
     std::stable_sort(order.begin(), order.end(),
                      [&](uint32_t a, uint32_t b) {
                          return compSize[a] > compSize[b];
                      });
     std::vector<uint64_t> load(g, 0);
-    std::vector<uint32_t> shardOf(roots.size());
+    std::vector<uint32_t> shardOf(parts.count());
     for (uint32_t c : order) {
         const size_t s = static_cast<size_t>(
             std::min_element(load.begin(), load.end()) - load.begin());
@@ -93,46 +95,22 @@ ParallelRunner::buildShards(size_t groups)
         load[s] += compSize[c];
     }
 
-    // Materialize the shard sub-automata, elements in original id
-    // order so per-shard behaviour is reproducible.
+    std::vector<ComponentPartition::Group> cut = parts.split(shardOf, g);
     shards_.resize(g);
-    std::vector<ElementId> localId(n);
-    for (ElementId i = 0; i < n; ++i) {
-        Shard &sh = shards_[shardOf[compOf[i]]];
-        const Element &e = a_.element(i);
-        ElementId id;
-        if (e.kind == ElementKind::kCounter)
-            id = sh.sub.addCounter(e.target, e.mode, e.reporting,
-                                   e.reportCode);
-        else
-            id = sh.sub.addSte(e.symbols, e.start, e.reporting,
-                               e.reportCode);
-        localId[i] = id;
-        sh.origId.push_back(i);
-    }
-    for (ElementId i = 0; i < n; ++i) {
-        Automaton &sub = shards_[shardOf[compOf[i]]].sub;
-        for (auto t : a_.element(i).out)
-            sub.addEdge(localId[i], localId[t]);
-        for (auto t : a_.element(i).resetOut)
-            sub.addResetEdge(localId[i], localId[t]);
-    }
-    for (size_t s = 0; s < shards_.size(); ++s) {
-        shards_[s].sub.setName(a_.name() + "/shard" +
-                               std::to_string(s));
-        shards_[s].engine =
-            std::make_unique<NfaEngine>(shards_[s].sub);
+    for (size_t s = 0; s < g; ++s) {
+        Shard &sh = shards_[s];
+        sh.sub = std::move(cut[s].sub);
+        sh.sub.setName(a_.name() + "/shard" + std::to_string(s));
+        sh.origId = std::move(cut[s].toGlobal);
+        sh.engine = std::make_unique<NfaEngine>(sh.sub);
         if (opts_.engine == ParallelEngine::kLazyDfa) {
             LazyDfaOptions lo;
             lo.cacheBytes = opts_.lazyCacheBytes;
-            shards_[s].lazy =
-                std::make_unique<LazyDfaEngine>(shards_[s].sub, lo);
+            sh.lazy = std::make_unique<LazyDfaEngine>(sh.sub, lo);
         } else if (opts_.engine == ParallelEngine::kPlanned) {
             // Profiles are per-automaton, so each shard infers its
             // own over its sub-automaton (construction-time only).
-            shards_[s].planned =
-                std::make_unique<PlannedEngine>(shards_[s].sub,
-                                                opts_.plan);
+            sh.planned = std::make_unique<PlannedEngine>(sh.sub, opts_.plan);
         }
     }
     if (obs::kEnabled) {
@@ -179,37 +157,15 @@ ParallelRunner::runBatch(
                            cat("stream ", i,
                                ": worker allocation failed")));
             }
-            if (opts_.chunkBytes != 0 &&
-                opts_.engine == ParallelEngine::kPlanned) {
-                PlannedSession sess(a_, profiles_, opts_.plan);
-                sess.options = opts_.sim;
-                const auto &in = streams[i];
-                for (size_t pos = 0; pos < in.size();) {
-                    const size_t want = std::min(
-                        opts_.chunkBytes, in.size() - pos);
-                    const size_t got =
-                        sess.feed(in.data() + pos, want);
-                    pos += got;
-                    if (got < want)
-                        break;
-                }
-                out.perStream[i] = sess.results();
-            } else if (opts_.chunkBytes != 0) {
-                StreamingSession sess(a_);
-                sess.options = opts_.sim;
-                const auto &in = streams[i];
-                for (size_t pos = 0; pos < in.size();) {
-                    const size_t want = std::min(
-                        opts_.chunkBytes, in.size() - pos);
-                    const size_t got =
-                        sess.feed(in.data() + pos, want);
-                    pos += got;
-                    // A short feed means the guard stopped the
-                    // session; further chunks would be refused.
-                    if (got < want)
-                        break;
-                }
-                out.perStream[i] = sess.results();
+            if (opts_.chunkBytes != 0) {
+                // Sessions over the shared compile: per-stream state
+                // only.
+                out.perStream[i] =
+                    opts_.engine == ParallelEngine::kPlanned
+                    ? feedChunks(PlannedSession(plan_), opts_.sim,
+                                 streams[i], opts_.chunkBytes)
+                    : feedChunks(StreamingSession(engine_), opts_.sim,
+                                 streams[i], opts_.chunkBytes);
             } else if (opts_.engine == ParallelEngine::kPlanned) {
                 out.perStream[i] =
                     slotPlanned_[slot]->simulate(streams[i],
@@ -218,7 +174,7 @@ ParallelRunner::runBatch(
                 out.perStream[i] =
                     slotLazy_[slot]->simulate(streams[i], opts_.sim);
             } else {
-                out.perStream[i] = engine_.simulate(
+                out.perStream[i] = engine_->simulate(
                     streams[i], slotScratch_[slot], opts_.sim);
             }
             canonicalizeReports(out.perStream[i]);
@@ -263,12 +219,7 @@ ParallelRunner::simulateSharded(const uint8_t *input, size_t len) const
     // Shards record every report internally (the merge needs full
     // offset streams to reconstruct reportingCycles and byCode
     // exactly); the caller's recording options apply after the merge.
-    SimOptions inner;
-    inner.recordReports = true;
-    inner.reportRecordLimit = ~uint64_t(0);
-    inner.countByCode = false;
-    inner.computeActiveSet = opts_.sim.computeActiveSet;
-    inner.guard = opts_.sim.guard;
+    const SimOptions inner = recordAllOptions(opts_.sim);
 
     obs::ScopedTimer wall(
         obs::Registry::global().histogram("runner.sharded.wall_us"));
@@ -295,8 +246,6 @@ ParallelRunner::simulateSharded(const uint8_t *input, size_t len) const
                     parts[s] = sh.engine->simulate(
                         input, simLen, sh.scratch, shardOpts);
                 }
-                for (Report &r : parts[s].reports)
-                    r.element = sh.origId[r.element];
             });
         } catch (const StatusError &e) {
             return e.status();
@@ -350,39 +299,16 @@ ParallelRunner::simulateSharded(const uint8_t *input, size_t len) const
         }
     }
 
-    for (const SimResult &p : parts) {
+    std::vector<Report> reports;
+    for (size_t s = 0; s < parts.size(); ++s) {
+        const SimResult &p = parts[s];
         merged.totalEnabled += p.totalEnabled;
         merged.lazyFlushes += p.lazyFlushes;
         merged.lazyStates += p.lazyStates;
         merged.lazyFallbackComponents += p.lazyFallbackComponents;
-        merged.reports.insert(merged.reports.end(), p.reports.begin(),
-                              p.reports.end());
+        appendGlobal(reports, p.reports, shards_[s].origId);
     }
-    if (consumed < len) {
-        std::erase_if(merged.reports, [consumed](const Report &r) {
-            return r.offset >= consumed;
-        });
-    }
-    merged.reportCount = merged.reports.size();
-    std::sort(merged.reports.begin(), merged.reports.end());
-
-    // A reporting cycle is a distinct offset in the full report
-    // stream (the serial engine counts cycles with >= 1 report).
-    uint64_t lastOffset = ~uint64_t(0);
-    for (const Report &r : merged.reports) {
-        if (r.offset != lastOffset) {
-            ++merged.reportingCycles;
-            lastOffset = r.offset;
-        }
-        if (opts_.sim.countByCode)
-            ++merged.byCode[r.code];
-    }
-
-    if (!opts_.sim.recordReports)
-        merged.reports.clear();
-    else if (merged.reports.size() > opts_.sim.reportRecordLimit)
-        merged.reports.resize(
-            static_cast<size_t>(opts_.sim.reportRecordLimit));
+    mergeCanonical(std::move(reports), opts_.sim, merged);
     return merged;
 }
 

@@ -8,12 +8,13 @@
  *
  *  - **Stream-level** (runBatch): a batch of independent input
  *    streams (packets, disk-image chunks, DNA reads) fans out across
- *    the pool. All workers share one const NfaEngine; each worker
- *    slot owns an EngineScratch (and, under ParallelEngine::kLazyDfa,
- *    a private LazyDfaEngine whose cache warms across that slot's
+ *    the pool. All workers share one const NfaEngine (or, under
+ *    ParallelEngine::kPlanned, one CompiledPlan); each worker slot
+ *    owns an EngineScratch (and a private LazyDfaEngine or
+ *    PlannedEngine whose lazy cache warms across that slot's
  *    streams), so the hot path performs no per-stream O(n)
- *    allocation. Chunked mode gives each stream its own
- *    StreamingSession.
+ *    allocation. Chunked mode gives each stream a StreamingSession
+ *    (or PlannedSession) over the same shared compile.
  *
  *  - **Component-level** (simulateSharded): the automaton's connected
  *    components (activation *and* reset edges, so counters never
@@ -34,7 +35,6 @@
 #ifndef AZOO_ENGINE_PARALLEL_RUNNER_HH
 #define AZOO_ENGINE_PARALLEL_RUNNER_HH
 
-#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -48,15 +48,6 @@
 namespace azoo {
 
 class ThreadPool;
-
-/** Sort recorded reports into the canonical (offset, element, code)
- *  order all parallel paths emit. Apply to a serial SimResult before
- *  comparing it against ParallelRunner output. */
-inline void
-canonicalizeReports(SimResult &r)
-{
-    std::sort(r.reports.begin(), r.reports.end());
-}
 
 /** Which engine a ParallelRunner drives per stream / per shard. */
 enum class ParallelEngine : uint8_t {
@@ -83,9 +74,10 @@ struct ParallelOptions {
     /** Lazy-DFA transition-cache budget (engine == kLazyDfa). Each
      *  worker slot / shard owns a private cache of this size. */
     size_t lazyCacheBytes = 8u << 20;
-    /** Planning knobs (engine == kPlanned). Each worker slot / shard
-     *  owns a private PlannedEngine built from one shared profile
-     *  inference; chunked streams run on PlannedSession. */
+    /** Planning knobs (engine == kPlanned). One CompiledPlan is
+     *  shared by every worker slot's PlannedEngine and by the
+     *  chunked streams' PlannedSessions; each shard compiles its
+     *  own. */
     PlanOptions plan;
     /** Per-stream simulation options. */
     SimOptions sim;
@@ -113,8 +105,9 @@ struct BatchResult {
  * Parallel driver over a borrowed automaton.
  *
  * The automaton must outlive the runner (same borrow rule as the
- * engines). Construction compiles one whole-automaton NfaEngine for
- * batch mode and one engine per component shard for sharded mode;
+ * engines). Construction compiles one whole-automaton NfaEngine (or
+ * CompiledPlan) for batch mode and one engine per component shard
+ * (cut by ComponentPartition) for sharded mode;
  * runBatch()/simulateSharded() can then be called repeatedly (but not
  * concurrently with each other from multiple threads — the runner
  * owns one pool).
@@ -170,7 +163,8 @@ class ParallelRunner
     const Automaton &a_;
     ParallelOptions opts_;
     std::unique_ptr<ThreadPool> pool_;
-    NfaEngine engine_;
+    /** Shared by batch slots and chunked streams. */
+    std::shared_ptr<const NfaEngine> engine_;
     std::vector<Shard> shards_;
 
     // Per-worker-slot mutable state for runBatch: the slot-indexed
@@ -179,9 +173,10 @@ class ParallelRunner
     mutable std::vector<EngineScratch> slotScratch_;
     mutable std::vector<std::unique_ptr<LazyDfaEngine>> slotLazy_;
     mutable std::vector<std::unique_ptr<PlannedEngine>> slotPlanned_;
-    /** Shared profile inference for kPlanned (one pass over the
-     *  whole automaton; slots and chunked sessions reuse it). */
-    std::vector<analysis::ComponentProfile> profiles_;
+    /** The one compiled plan for kPlanned: every slot's
+     *  PlannedEngine and every chunked stream's PlannedSession
+     *  executes it. */
+    std::shared_ptr<const CompiledPlan> plan_;
 };
 
 } // namespace azoo

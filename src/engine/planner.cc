@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "engine/partition.hh"
 #include "engine/run_guard.hh"
 #include "obs/obs.hh"
 #include "util/logging.hh"
@@ -114,45 +115,6 @@ decide(const analysis::ComponentProfile &p, bool hasSod,
     return PlanBackend::kInterpreter;
 }
 
-/** Copy the components selected by @p wanted into a fresh
- *  sub-automaton, elements in original-id order; fills the
- *  local-to-global remap. Returns nullptr when the group is empty. */
-std::unique_ptr<Automaton>
-buildGroup(const Automaton &a, const std::vector<uint32_t> &comp,
-           const std::vector<uint8_t> &wanted, const char *suffix,
-           std::vector<ElementId> &toGlobal)
-{
-    toGlobal.clear();
-    std::vector<ElementId> localId(a.size(), kNoElement);
-    auto sub = std::make_unique<Automaton>(a.name() + suffix);
-    for (ElementId i = 0; i < a.size(); ++i) {
-        if (!wanted[comp[i]])
-            continue;
-        const Element &e = a.element(i);
-        ElementId id;
-        if (e.kind == ElementKind::kCounter) {
-            id = sub->addCounter(e.target, e.mode, e.reporting,
-                                 e.reportCode);
-        } else {
-            id = sub->addSte(e.symbols, e.start, e.reporting,
-                             e.reportCode);
-        }
-        localId[i] = id;
-        toGlobal.push_back(i);
-    }
-    if (toGlobal.empty())
-        return nullptr;
-    for (ElementId i = 0; i < a.size(); ++i) {
-        if (!wanted[comp[i]])
-            continue;
-        for (auto t : a.element(i).out)
-            sub->addEdge(localId[i], localId[t]);
-        for (auto t : a.element(i).resetOut)
-            sub->addResetEdge(localId[i], localId[t]);
-    }
-    return sub;
-}
-
 void
 notePlan(const EnginePlan &plan)
 {
@@ -190,6 +152,121 @@ planComponents(const Automaton &a,
 }
 
 // ---------------------------------------------------------------------
+// CompiledPlan
+
+CompiledPlan::CompiledPlan(
+    const Automaton &a,
+    const std::vector<analysis::ComponentProfile> &profiles,
+    const PlanOptions &opts)
+    : plan_(planComponents(a, profiles, opts)), opts_(opts)
+{
+    // Counted here, once per compile — never per executor or session.
+    notePlan(plan_);
+
+    // One split cuts a group per backend; kSkip (the last backend)
+    // components are never copied.
+    static_assert(static_cast<size_t>(PlanBackend::kSkip) ==
+                  kPlanBackends - 1);
+    const ComponentPartition parts(a);
+    std::vector<uint32_t> byBackend(parts.count(),
+                                    ComponentPartition::kNoGroup);
+    std::vector<uint32_t> restOf(parts.count(),
+                                 ComponentPartition::kNoGroup);
+    for (const ComponentDecision &d : plan_.decisions) {
+        if (d.backend == PlanBackend::kSkip)
+            continue;
+        byBackend[d.componentId] = static_cast<uint32_t>(d.backend);
+        if (d.backend != PlanBackend::kPrefilter)
+            restOf[d.componentId] = 0;
+    }
+    std::vector<ComponentPartition::Group> groups =
+        parts.split(byBackend, kPlanBackends - 1);
+    auto take = [&](PlanBackend b, bool compile) {
+        ComponentPartition::Group &g = groups[static_cast<size_t>(b)];
+        Group out;
+        out.toGlobal = std::move(g.toGlobal);
+        if (out.empty())
+            return out;
+        if (compile)
+            out.engine = std::make_shared<const NfaEngine>(g.sub);
+        else
+            out.sub = std::move(g.sub);
+        return out;
+    };
+
+    // Prefilter group: one scan literal + window radius per component.
+    Group pre = take(PlanBackend::kPrefilter, false);
+    if (!pre.empty()) {
+        std::vector<PrefilterPattern> pats;
+        for (const analysis::ComponentProfile &p : profiles) {
+            if (byBackend[p.componentId] !=
+                static_cast<uint32_t>(PlanBackend::kPrefilter))
+                continue;
+            PrefilterPattern pat;
+            pat.literal = p.mandatoryLiteral.substr(0, opts.maxScanLiteral);
+            // +2 slop over the exact reach so off-by-one drift in the
+            // length facts can never clip a match.
+            pat.radius = p.maxMatchLen + 2;
+            pats.push_back(std::move(pat));
+        }
+        prefilter_ = std::make_unique<PrefilteredNfa>(
+            pre.sub, std::move(pre.toGlobal), std::move(pats));
+    }
+
+    anchored_ = take(PlanBackend::kAnchoredPrefix, true);
+    for (const analysis::ComponentProfile &p : profiles) {
+        if (byBackend[p.componentId] ==
+            static_cast<uint32_t>(PlanBackend::kAnchoredPrefix)) {
+            anchoredPrefix_ = std::max<uint64_t>(
+                anchoredPrefix_, uint64_t(p.maxActivationDepth) + 2);
+        }
+    }
+    lazy_ = take(PlanBackend::kLazyDfa, false);
+    interp_ = take(PlanBackend::kInterpreter, true);
+
+    // Streaming interprets every non-prefilter group as one. When a
+    // single block group already is that group, share its tables.
+    const int restSources = int(!anchored_.empty()) +
+        int(!lazy_.empty()) + int(!interp_.empty());
+    if (restSources == 1) {
+        const Group &only = !anchored_.empty() ? anchored_
+            : !interp_.empty()                 ? interp_
+                                               : lazy_;
+        rest_.toGlobal = only.toGlobal;
+        rest_.engine = only.engine
+            ? only.engine
+            : std::make_shared<const NfaEngine>(only.sub);
+    } else if (restSources > 1) {
+        ComponentPartition::Group g = std::move(parts.split(restOf, 1)[0]);
+        rest_.engine = std::make_shared<const NfaEngine>(g.sub);
+        rest_.toGlobal = std::move(g.toGlobal);
+    }
+}
+
+size_t
+CompiledPlan::footprintBytes() const
+{
+    size_t n = sizeof(*this);
+    if (prefilter_)
+        n += prefilter_->footprintBytes();
+    for (const Group *g : {&anchored_, &lazy_, &interp_, &rest_}) {
+        n += g->toGlobal.capacity() * sizeof(ElementId);
+        n += g->sub.size() * sizeof(Element);
+        for (const Element &e : g->sub.elements())
+            n += (e.out.capacity() + e.resetOut.capacity()) *
+                sizeof(ElementId);
+    }
+    // The rest group may share its engine with a block group.
+    for (const Group *g : {&anchored_, &interp_})
+        if (g->engine)
+            n += g->engine->footprintBytes();
+    if (rest_.engine && rest_.engine != anchored_.engine &&
+        rest_.engine != interp_.engine)
+        n += rest_.engine->footprintBytes();
+    return n;
+}
+
+// ---------------------------------------------------------------------
 // PlannedEngine
 
 PlannedEngine::PlannedEngine(const Automaton &a, const PlanOptions &opts)
@@ -201,93 +278,19 @@ PlannedEngine::PlannedEngine(
     const Automaton &a,
     const std::vector<analysis::ComponentProfile> &profiles,
     const PlanOptions &opts)
+    : PlannedEngine(std::make_shared<const CompiledPlan>(a, profiles, opts))
 {
-    build(a, profiles, opts);
 }
 
-void
-PlannedEngine::build(const Automaton &a,
-                     const std::vector<analysis::ComponentProfile>
-                         &profiles,
-                     const PlanOptions &opts)
+PlannedEngine::PlannedEngine(std::shared_ptr<const CompiledPlan> plan)
+    : plan_(std::move(plan))
 {
-    popts_ = opts;
-    plan_ = planComponents(a, profiles, opts);
-    notePlan(plan_);
-
-    uint32_t count = 0;
-    const std::vector<uint32_t> comp = a.connectedComponents(count);
-
-    auto wantedFor = [&](PlanBackend b) {
-        std::vector<uint8_t> wanted(count, 0);
-        for (const ComponentDecision &d : plan_.decisions) {
-            if (d.backend == b)
-                wanted[d.componentId] = 1;
-        }
-        return wanted;
-    };
-
-    // Prefilter group: sub-automaton plus one scan literal + window
-    // radius per component.
-    {
-        const std::vector<uint8_t> wanted =
-            wantedFor(PlanBackend::kPrefilter);
-        std::vector<ElementId> toGlobal;
-        auto sub = buildGroup(a, comp, wanted, ".prefilter", toGlobal);
-        if (sub) {
-            std::vector<PrefilterPattern> pats;
-            for (const analysis::ComponentProfile &p : profiles) {
-                if (!wanted[p.componentId])
-                    continue;
-                PrefilterPattern pat;
-                pat.literal = p.mandatoryLiteral.substr(
-                    0, opts.maxScanLiteral);
-                // +2 slop over the exact reach so off-by-one drift in
-                // the length facts can never clip a match.
-                pat.radius = p.maxMatchLen + 2;
-                pats.push_back(std::move(pat));
-            }
-            prefilter_ = std::make_unique<PrefilteredNfa>(
-                *sub, std::move(toGlobal), std::move(pats));
-        }
-    }
-
-    {
-        const std::vector<uint8_t> wanted =
-            wantedFor(PlanBackend::kAnchoredPrefix);
-        anchoredSub_ =
-            buildGroup(a, comp, wanted, ".anchored", anchoredToGlobal_);
-        if (anchoredSub_) {
-            for (const analysis::ComponentProfile &p : profiles) {
-                if (wanted[p.componentId]) {
-                    anchoredPrefix_ = std::max<uint64_t>(
-                        anchoredPrefix_,
-                        uint64_t(p.maxActivationDepth) + 2);
-                }
-            }
-            anchoredEngine_ =
-                std::make_unique<NfaEngine>(*anchoredSub_);
-        }
-    }
-
-    {
-        lazySub_ = buildGroup(a, comp,
-                              wantedFor(PlanBackend::kLazyDfa), ".lazy",
-                              lazyToGlobal_);
-        if (lazySub_) {
-            LazyDfaOptions lo;
-            lo.cacheBytes = opts.lazyCacheBytes;
-            lazyEngine_ =
-                std::make_unique<LazyDfaEngine>(*lazySub_, lo);
-        }
-    }
-
-    {
-        interpSub_ = buildGroup(a, comp,
-                                wantedFor(PlanBackend::kInterpreter),
-                                ".interp", interpToGlobal_);
-        if (interpSub_)
-            interpEngine_ = std::make_unique<NfaEngine>(*interpSub_);
+    if (!plan_)
+        panic("PlannedEngine: null plan");
+    if (!plan_->lazy().empty()) {
+        LazyDfaOptions lo;
+        lo.cacheBytes = plan_->options().lazyCacheBytes;
+        lazyEngine_ = std::make_unique<LazyDfaEngine>(plan_->lazy().sub, lo);
     }
 }
 
@@ -295,52 +298,41 @@ SimResult
 PlannedEngine::simulate(const uint8_t *input, size_t len,
                         const SimOptions &uopts)
 {
+    const CompiledPlan &p = *plan_;
+    const NfaEngine *interp = p.interp().engine.get();
+    const NfaEngine *anchored = p.anchored().engine.get();
+    const PrefilteredNfa *prefilter = p.prefilter();
+    lastPrefilterStats_ = PrefilterStats();
+
     // Single-group fast path: when one backend covers every non-skip
     // component it already runs the whole input with the serial guard
-    // contract, so delegating with the caller's options (instead of
-    // full-record + merge) keeps counter-coupled plans at interpreter
-    // parity. Only the report ids need the remap, plus a canonical
-    // sort; the caller's record limit is applied after the sort so
-    // the recorded subset matches the merge path's.
-    const bool soloInterp = interpEngine_ && !lazyEngine_ &&
-        !anchoredEngine_ && !prefilter_;
-    const bool soloLazy = lazyEngine_ && !interpEngine_ &&
-        !anchoredEngine_ && !prefilter_;
-    if (soloInterp || soloLazy) {
-        lastPrefilterStats_ = PrefilterStats();
-        SimOptions inner = uopts;
-        if (inner.recordReports)
-            inner.reportRecordLimit = ~uint64_t(0);
-        SimResult r = soloInterp
-            ? interpEngine_->simulate(input, len, interpScratch_,
-                                      inner)
+    // contract, so delegating with the caller's options keeps
+    // counter-coupled plans at interpreter parity. Recorded reports
+    // still need the remap + canonical merge.
+    if (!prefilter && !anchored && (!interp != !lazyEngine_)) {
+        const SimOptions inner =
+            uopts.recordReports ? recordAllOptions(uopts) : uopts;
+        SimResult r = interp
+            ? interp->simulate(input, len, interpScratch_, inner)
             : lazyEngine_->simulate(input, len, inner);
-        const std::vector<ElementId> &toGlobal =
-            soloInterp ? interpToGlobal_ : lazyToGlobal_;
-        for (Report &rep : r.reports)
-            rep.element = toGlobal[rep.element];
-        std::sort(r.reports.begin(), r.reports.end());
-        if (r.reports.size() > uopts.reportRecordLimit)
-            r.reports.resize(
-                static_cast<size_t>(uopts.reportRecordLimit));
+        if (!uopts.recordReports)
+            return r;
+        std::vector<Report> reports;
+        appendGlobal(reports, r.reports,
+                     interp ? p.interp().toGlobal : p.lazy().toGlobal);
+        mergeCanonical(std::move(reports), uopts, r);
         return r;
     }
 
     // Backends record everything; the caller's recording options
-    // apply after the merge (same contract as simulateSharded()).
-    SimOptions inner;
-    inner.recordReports = true;
-    inner.reportRecordLimit = ~uint64_t(0);
-    inner.countByCode = false;
-    inner.computeActiveSet = uopts.computeActiveSet;
-    inner.guard = uopts.guard;
-
-    uint64_t consumed = len;
-    Status gstat;
+    // apply in the merge (same contract as simulateSharded()).
+    const SimOptions inner = recordAllOptions(uopts);
+    SimResult out;
+    out.symbols = len;
     auto truncate = [&](uint64_t sym, const Status &st) {
-        if (sym < consumed || gstat.ok()) {
-            consumed = std::min(consumed, sym);
-            gstat = st;
+        if (sym < out.symbols || out.guardStatus.ok()) {
+            out.symbols = std::min(out.symbols, sym);
+            out.guardStatus = st;
         }
     };
 
@@ -362,14 +354,8 @@ PlannedEngine::simulate(const uint8_t *input, size_t len,
     }
 
     std::vector<Report> reports;
-    SimResult out;
-
-    auto collect = [&](SimResult &&r,
-                       const std::vector<ElementId> &toGlobal) {
-        for (Report &rep : r.reports)
-            rep.element = toGlobal[rep.element];
-        reports.insert(reports.end(), r.reports.begin(),
-                       r.reports.end());
+    auto collect = [&](SimResult &&r, const CompiledPlan::Group &g) {
+        appendGlobal(reports, r.reports, g.toGlobal);
         out.totalEnabled += r.totalEnabled;
         out.lazyFlushes += r.lazyFlushes;
         out.lazyStates += r.lazyStates;
@@ -378,28 +364,24 @@ PlannedEngine::simulate(const uint8_t *input, size_t len,
             truncate(r.symbols, r.guardStatus);
     };
 
-    if (interpEngine_ && consumed > 0) {
-        collect(interpEngine_->simulate(input, len, interpScratch_,
-                                        inner),
-                interpToGlobal_);
+    if (interp && out.symbols > 0) {
+        collect(interp->simulate(input, len, interpScratch_, inner),
+                p.interp());
     }
-    if (lazyEngine_ && consumed > 0) {
-        collect(lazyEngine_->simulate(input, len, inner),
-                lazyToGlobal_);
-    }
-    if (anchoredEngine_ && consumed > 0) {
-        // Anchored components quiesce after anchoredPrefix_ symbols,
+    if (lazyEngine_ && out.symbols > 0)
+        collect(lazyEngine_->simulate(input, len, inner), p.lazy());
+    if (anchored && out.symbols > 0) {
+        // Anchored components quiesce after anchoredPrefix() symbols,
         // so a completed prefix run covers the whole input.
         const size_t alen = static_cast<size_t>(
-            std::min<uint64_t>(len, anchoredPrefix_));
-        collect(anchoredEngine_->simulate(input, alen,
-                                          anchoredScratch_, inner),
-                anchoredToGlobal_);
+            std::min<uint64_t>(len, p.anchoredPrefix()));
+        collect(anchored->simulate(input, alen, anchoredScratch_, inner),
+                p.anchored());
     }
-    lastPrefilterStats_ = PrefilterStats();
-    if (prefilter_ && consumed > 0) {
-        PrefilteredNfa::RunResult rr = prefilter_->run(
-            input, len, uopts.guard, prefilterScratch_);
+    if (prefilter && out.symbols > 0) {
+        // Scans the caller's buffer in place.
+        PrefilteredNfa::RunResult rr =
+            prefilter->run(input, len, uopts.guard, prefilterScratch_);
         reports.insert(reports.end(), rr.reports.begin(),
                        rr.reports.end());
         out.totalEnabled += rr.totalEnabled;
@@ -408,35 +390,10 @@ PlannedEngine::simulate(const uint8_t *input, size_t len,
             truncate(rr.symbols, rr.guardStatus);
     }
 
-    // Merge to the shortest consumed prefix. Every backend's report
-    // stream is complete over [0, consumed) (each ran at least that
-    // far), so clipping + canonical sort is exact — no re-simulation
-    // needed, unlike simulateSharded(), because backends are built
-    // once and reports are never sampled.
-    out.symbols = consumed;
-    out.guardStatus = gstat;
-    if (consumed < len) {
-        std::erase_if(reports, [consumed](const Report &r) {
-            return r.offset >= consumed;
-        });
-    }
-    std::sort(reports.begin(), reports.end());
-    out.reportCount = reports.size();
-    uint64_t lastOffset = ~uint64_t(0);
-    for (const Report &r : reports) {
-        if (r.offset != lastOffset) {
-            ++out.reportingCycles;
-            lastOffset = r.offset;
-        }
-        if (uopts.countByCode)
-            ++out.byCode[r.code];
-    }
-    if (uopts.recordReports) {
-        if (reports.size() > uopts.reportRecordLimit)
-            reports.resize(
-                static_cast<size_t>(uopts.reportRecordLimit));
-        out.reports = std::move(reports);
-    }
+    // Every backend's report stream is complete over the shortest
+    // consumed prefix (each ran at least that far), so the merge's
+    // clip is exact — no re-simulation, unlike simulateSharded().
+    mergeCanonical(std::move(reports), uopts, out);
     return out;
 }
 
@@ -453,59 +410,25 @@ PlannedSession::PlannedSession(
     const Automaton &a,
     const std::vector<analysis::ComponentProfile> &profiles,
     const PlanOptions &opts)
+    : PlannedSession(std::make_shared<const CompiledPlan>(a, profiles, opts))
 {
-    build(a, profiles, opts);
 }
 
-void
-PlannedSession::build(const Automaton &a,
-                      const std::vector<analysis::ComponentProfile>
-                          &profiles,
-                      const PlanOptions &opts)
+PlannedSession::PlannedSession(std::shared_ptr<const CompiledPlan> plan)
+    : plan_(std::move(plan))
 {
-    plan_ = planComponents(a, profiles, opts);
-    notePlan(plan_);
-
-    uint32_t count = 0;
-    const std::vector<uint32_t> comp = a.connectedComponents(count);
-
-    std::vector<uint8_t> wantedPre(count, 0), wantedRest(count, 0);
-    for (const ComponentDecision &d : plan_.decisions) {
-        if (d.backend == PlanBackend::kPrefilter)
-            wantedPre[d.componentId] = 1;
-        else if (d.backend != PlanBackend::kSkip)
-            wantedRest[d.componentId] = 1;
+    if (!plan_)
+        panic("PlannedSession: null plan");
+    if (plan_->prefilter()) {
+        prefilterSession_ =
+            std::make_unique<PrefilteredNfa::Session>(*plan_->prefilter());
     }
-
-    {
-        std::vector<ElementId> toGlobal;
-        auto sub = buildGroup(a, comp, wantedPre, ".prefilter",
-                              toGlobal);
-        if (sub) {
-            std::vector<PrefilterPattern> pats;
-            for (const analysis::ComponentProfile &p : profiles) {
-                if (!wantedPre[p.componentId])
-                    continue;
-                PrefilterPattern pat;
-                pat.literal = p.mandatoryLiteral.substr(
-                    0, opts.maxScanLiteral);
-                pat.radius = p.maxMatchLen + 2;
-                pats.push_back(std::move(pat));
-            }
-            prefilter_ = std::make_unique<PrefilteredNfa>(
-                *sub, std::move(toGlobal), std::move(pats));
-            prefilterSession_ =
-                std::make_unique<PrefilteredNfa::Session>(*prefilter_);
-        }
-    }
-
-    restSub_ = buildGroup(a, comp, wantedRest, ".rest", restToGlobal_);
-    if (restSub_) {
-        restSession_ = std::make_unique<StreamingSession>(*restSub_);
-        restSession_->options.recordReports = true;
-        restSession_->options.reportRecordLimit = ~uint64_t(0);
-        restSession_->options.countByCode = false;
-        restSession_->options.guard = nullptr;
+    if (!plan_->rest().empty()) {
+        restSession_ =
+            std::make_unique<StreamingSession>(plan_->rest().engine);
+        // Record everything, unguarded: results() merges and caps,
+        // and feed() owns the poll clock.
+        restSession_->options = recordAllOptions(SimOptions());
     }
 }
 
@@ -553,15 +476,10 @@ PlannedSession::results() const
     SimResult out;
     out.symbols = t_;
     out.guardStatus = guardStatus_;
-
     std::vector<Report> reports;
     if (restSession_) {
         const SimResult &r = restSession_->results();
-        reports.reserve(r.reports.size());
-        for (const Report &rep : r.reports) {
-            reports.push_back(
-                {rep.offset, restToGlobal_[rep.element], rep.code});
-        }
+        appendGlobal(reports, r.reports, plan_->rest().toGlobal);
         out.totalEnabled += r.totalEnabled;
     }
     if (prefilterSession_) {
@@ -569,24 +487,7 @@ PlannedSession::results() const
         reports.insert(reports.end(), pre.begin(), pre.end());
         out.totalEnabled += prefilterSession_->totalEnabled();
     }
-
-    std::sort(reports.begin(), reports.end());
-    out.reportCount = reports.size();
-    uint64_t lastOffset = ~uint64_t(0);
-    for (const Report &r : reports) {
-        if (r.offset != lastOffset) {
-            ++out.reportingCycles;
-            lastOffset = r.offset;
-        }
-        if (options.countByCode)
-            ++out.byCode[r.code];
-    }
-    if (options.recordReports) {
-        if (reports.size() > options.reportRecordLimit)
-            reports.resize(
-                static_cast<size_t>(options.reportRecordLimit));
-        out.reports = std::move(reports);
-    }
+    mergeCanonical(std::move(reports), options, out);
     return out;
 }
 
@@ -595,13 +496,8 @@ PlannedSession::reset()
 {
     if (prefilterSession_)
         prefilterSession_->reset();
-    if (restSession_) {
+    if (restSession_)
         restSession_->reset();
-        restSession_->options.recordReports = true;
-        restSession_->options.reportRecordLimit = ~uint64_t(0);
-        restSession_->options.countByCode = false;
-        restSession_->options.guard = nullptr;
-    }
     t_ = 0;
     guardStatus_ = Status();
 }
@@ -609,23 +505,9 @@ PlannedSession::reset()
 size_t
 PlannedSession::footprintBytes() const
 {
-    // Graph-form sub-automaton copies: Elements are value types (the
-    // charset bitmap is inline) plus their edge vectors.
-    auto automatonBytes = [](const Automaton &a) {
-        size_t n = a.size() * sizeof(Element);
-        for (const Element &e : a.elements())
-            n += (e.out.capacity() + e.resetOut.capacity()) *
-                sizeof(ElementId);
-        return n;
-    };
     size_t n = sizeof(*this);
-    if (restSub_)
-        n += automatonBytes(*restSub_);
-    n += restToGlobal_.capacity() * sizeof(ElementId);
     if (restSession_)
         n += restSession_->footprintBytes();
-    if (prefilter_)
-        n += prefilter_->footprintBytes();
     if (prefilterSession_)
         n += prefilterSession_->footprintBytes();
     return n;

@@ -8,8 +8,9 @@
  * match-length and anchoring intervals, a determinization blowup
  * estimate. This module turns those facts into wall-clock throughput:
  * planComponents() assigns each component the cheapest backend that
- * is exact for it, and PlannedEngine / PlannedSession execute the
- * resulting mixed plan with results bit-identical (on the semantic
+ * is exact for it, CompiledPlan compiles the assignment once, and
+ * PlannedEngine (block) / PlannedSession (streaming) execute that one
+ * shared plan with results bit-identical (on the semantic
  * fields: symbols, reports, reportCount, reportingCycles, byCode,
  * guardStatus) to the serial NfaEngine after canonicalizeReports().
  * totalEnabled is engine-defined, as for MultiDfaEngine: skipped
@@ -122,28 +123,104 @@ EnginePlan planComponents(const Automaton &a,
                           const PlanOptions &opts = PlanOptions());
 
 /**
- * Executes an EnginePlan: one engine per backend group over a
- * sub-automaton of that group's components, merged into a single
- * canonical SimResult.
+ * A compiled EnginePlan: everything about a plan that does not change
+ * while it runs, built once and shared (through a
+ * `shared_ptr<const CompiledPlan>`) by every PlannedEngine and
+ * PlannedSession executing it — block and streaming alike. One
+ * ComponentPartition split cuts the backend groups; each gets its
+ * `toGlobal` remap and, where it is interpreted, a compiled NfaEngine.
  *
- * simulate() mutates per-engine state (lazy cache, scratches), so a
- * PlannedEngine must not be shared by concurrently simulating threads
- * — ParallelRunner builds one per worker slot. Reports come out in
+ * Immutable after construction and therefore safe to share across
+ * threads. The one mutable backend, the lazy DFA's transition cache,
+ * is not part of it: each PlannedEngine builds its own LazyDfaEngine
+ * over the plan's lazy group.
+ */
+class CompiledPlan
+{
+  public:
+    /** One backend group of the plan. */
+    struct Group {
+        /** Sub-automaton (kept only where an executor borrows it: the
+         *  lazy group, for per-executor LazyDfaEngines). */
+        Automaton sub;
+        /** Group-local element id -> original id (ascending). */
+        std::vector<ElementId> toGlobal;
+        /** Compiled interpreter tables (null for an empty group and
+         *  for the lazy group). */
+        std::shared_ptr<const NfaEngine> engine;
+
+        bool empty() const { return toGlobal.empty(); }
+    };
+
+    /** Plan @p a from its profiles (analysis::inferProfiles(a)) and
+     *  compile every group. The automaton is not referenced after
+     *  construction. */
+    CompiledPlan(const Automaton &a,
+                 const std::vector<analysis::ComponentProfile> &profiles,
+                 const PlanOptions &opts = PlanOptions());
+
+    CompiledPlan(const CompiledPlan &) = delete;
+    CompiledPlan &operator=(const CompiledPlan &) = delete;
+
+    const EnginePlan &plan() const { return plan_; }
+    const PlanOptions &options() const { return opts_; }
+
+    /** Literal-prefilter group (null when none was planned). */
+    const PrefilteredNfa *prefilter() const { return prefilter_.get(); }
+    /** Anchored components, interpreted over the first
+     *  anchoredPrefix() symbols only (block mode). */
+    const Group &anchored() const { return anchored_; }
+    /** Input prefix after which every anchored component has
+     *  quiesced. */
+    uint64_t anchoredPrefix() const { return anchoredPrefix_; }
+    /** Lazy-DFA components (block mode; sub-automaton only). */
+    const Group &lazy() const { return lazy_; }
+    /** Interpreter components (block mode). */
+    const Group &interp() const { return interp_; }
+    /** Streaming mode: anchored + lazy + interpreter components in
+     *  one interpreted group (the lazy DFA has no incremental API, so
+     *  streams trade its speed for interpretation). */
+    const Group &rest() const { return rest_; }
+
+    /** Resident bytes of the shared compiled form, counted once per
+     *  plan (sessions count only their own state). */
+    size_t footprintBytes() const;
+
+  private:
+    EnginePlan plan_;
+    PlanOptions opts_;
+    std::unique_ptr<PrefilteredNfa> prefilter_;
+    Group anchored_, lazy_, interp_, rest_;
+    uint64_t anchoredPrefix_ = 0;
+};
+
+/**
+ * Block executor of a CompiledPlan: runs each group on its backend
+ * over the whole input and merges the reports into a single canonical
+ * SimResult.
+ *
+ * simulate() mutates per-executor state (the lazy DFA's transition
+ * cache, scratches), so a PlannedEngine must not be shared by
+ * concurrently simulating threads — ParallelRunner gives each worker
+ * slot its own, all over one shared CompiledPlan. Reports come out in
  * canonical (offset, element, code) order with original element ids.
  */
 class PlannedEngine
 {
   public:
-    /** Infer profiles internally. The automaton must outlive the
-     *  engine only during construction (groups are copied out). */
+    /** Infer profiles and compile a private plan. The automaton need
+     *  only outlive construction (groups are copied out). */
     explicit PlannedEngine(const Automaton &a,
                            const PlanOptions &opts = PlanOptions());
 
-    /** Plan from precomputed profiles (inferProfiles(a) — sharing one
-     *  inference across many engines). */
+    /** Compile a private plan from precomputed profiles
+     *  (inferProfiles(a)). */
     PlannedEngine(const Automaton &a,
                   const std::vector<analysis::ComponentProfile> &profiles,
                   const PlanOptions &opts = PlanOptions());
+
+    /** Execute a shared compiled plan (pinned; never null). */
+    explicit PlannedEngine(std::shared_ptr<const CompiledPlan> plan);
 
     SimResult simulate(const uint8_t *input, size_t len,
                        const SimOptions &opts = SimOptions());
@@ -155,13 +232,14 @@ class PlannedEngine
         return simulate(input.data(), input.size(), opts);
     }
 
-    const EnginePlan &plan() const { return plan_; }
+    const EnginePlan &plan() const { return plan_->plan(); }
 
     /** Scan literals the prefilter backend sweeps for (0 when no
      *  component was planned onto it). */
     size_t prefilterPatterns() const
     {
-        return prefilter_ ? prefilter_->patternCount() : 0;
+        return plan_->prefilter() ? plan_->prefilter()->patternCount()
+                                  : 0;
     }
 
     /** Prefilter effectiveness of the most recent simulate() (all
@@ -172,58 +250,39 @@ class PlannedEngine
     }
 
   private:
-    void build(const Automaton &a,
-               const std::vector<analysis::ComponentProfile> &profiles,
-               const PlanOptions &opts);
-
-    PlanOptions popts_;
-    EnginePlan plan_;
-
-    std::unique_ptr<PrefilteredNfa> prefilter_;
-    EngineScratch prefilterScratch_;
-
-    std::unique_ptr<Automaton> anchoredSub_;
-    std::vector<ElementId> anchoredToGlobal_;
-    std::unique_ptr<NfaEngine> anchoredEngine_;
-    EngineScratch anchoredScratch_;
-    /** Input prefix after which every anchored component has
-     *  quiesced. */
-    uint64_t anchoredPrefix_ = 0;
-
-    std::unique_ptr<Automaton> lazySub_;
-    std::vector<ElementId> lazyToGlobal_;
+    std::shared_ptr<const CompiledPlan> plan_;
+    /** This executor's lazy DFA over the plan's lazy group. */
     std::unique_ptr<LazyDfaEngine> lazyEngine_;
-
-    std::unique_ptr<Automaton> interpSub_;
-    std::vector<ElementId> interpToGlobal_;
-    std::unique_ptr<NfaEngine> interpEngine_;
-    EngineScratch interpScratch_;
-
+    EngineScratch prefilterScratch_, anchoredScratch_, interpScratch_;
     PrefilterStats lastPrefilterStats_;
 };
 
 /**
- * Streaming counterpart of PlannedEngine: chunked feeding with
+ * Streaming executor of a CompiledPlan: chunked feeding with
  * persistent state, same canonical results as a monolithic planned
  * run (and therefore as serial NfaEngine + canonicalizeReports()).
  *
- * The prefilter group streams through PrefilteredNfa::Session; every
- * other non-skip group streams through one merged StreamingSession
- * (the lazy DFA has no incremental API, so streamed plans trade its
- * speed for interpretation — block mode keeps it). The session owns
- * the guard poll clock: options.guard is polled every
- * kGuardCheckIntervalSymbols stream symbols regardless of chunking,
- * exactly like StreamingSession.
+ * The prefilter group streams through PrefilteredNfa::Session; the
+ * plan's rest group streams through one StreamingSession over the
+ * plan's compiled rest engine. The session holds only per-stream
+ * state and pins the plan, so many sessions (on any threads) share one
+ * compile. It owns the guard poll clock: options.guard is polled
+ * every kGuardCheckIntervalSymbols stream symbols regardless of
+ * chunking, exactly like StreamingSession.
  */
 class PlannedSession
 {
   public:
+    /** Infer profiles and compile a private plan. */
     explicit PlannedSession(const Automaton &a,
                             const PlanOptions &opts = PlanOptions());
+    /** Compile a private plan from precomputed profiles. */
     PlannedSession(const Automaton &a,
                    const std::vector<analysis::ComponentProfile>
                        &profiles,
                    const PlanOptions &opts = PlanOptions());
+    /** Stream over a shared compiled plan (pinned; never null). */
+    explicit PlannedSession(std::shared_ptr<const CompiledPlan> plan);
 
     /** Feed a chunk; returns bytes consumed (short exactly when
      *  options.guard stopped the session). */
@@ -246,13 +305,14 @@ class PlannedSession
 
     void reset();
 
-    /** Resident bytes: sub-automaton copies, the rest-group
-     *  interpreter session, and the prefilter's shared tables +
-     *  per-session window state. The serve layer's admission
+    /** Resident bytes of this session's own state: the rest group's
+     *  scratch and reports, and the prefilter session's scratch,
+     *  window buffer and reports. The shared plan is counted once,
+     *  by CompiledPlan::footprintBytes(). The serve layer's admission
      *  estimate is validated against this. */
     size_t footprintBytes() const;
 
-    const EnginePlan &plan() const { return plan_; }
+    const EnginePlan &plan() const { return plan_->plan(); }
 
     const PrefilterStats &
     prefilterStats() const
@@ -264,19 +324,8 @@ class PlannedSession
     SimOptions options;
 
   private:
-    void build(const Automaton &a,
-               const std::vector<analysis::ComponentProfile> &profiles,
-               const PlanOptions &opts);
-
-    EnginePlan plan_;
-
-    std::unique_ptr<PrefilteredNfa> prefilter_;
+    std::shared_ptr<const CompiledPlan> plan_;
     std::unique_ptr<PrefilteredNfa::Session> prefilterSession_;
-
-    /** Anchored + lazy + interpreter components merged: everything
-     *  that needs per-symbol streaming state. */
-    std::unique_ptr<Automaton> restSub_;
-    std::vector<ElementId> restToGlobal_;
     std::unique_ptr<StreamingSession> restSession_;
 
     uint64_t t_ = 0;

@@ -2,7 +2,7 @@
 
 #include <bit>
 
-#include "engine/run_guard.hh"
+#include "engine/interpreter.hh"
 #include "obs/obs.hh"
 #include "util/logging.hh"
 
@@ -115,8 +115,7 @@ LiteralScanner::findByte(const uint8_t *p, const uint8_t *end, uint8_t b)
 PrefilteredNfa::PrefilteredNfa(const Automaton &sub,
                                std::vector<ElementId> toGlobal,
                                std::vector<PrefilterPattern> patterns)
-    : tables_(NfaExecTables::compile(sub))
-    , img_(tables_.view())
+    : engine_(sub)
     , toGlobal_(std::move(toGlobal))
     , scanner_([&patterns] {
         std::vector<std::string> lits;
@@ -126,12 +125,13 @@ PrefilteredNfa::PrefilteredNfa(const Automaton &sub,
         return lits;
     }())
 {
-    if (!tables_.counters.empty())
+    const NfaExecImage &img = engine_.image();
+    if (!img.counters.empty())
         panic("PrefilteredNfa: counter elements in a prefilter group");
-    if (!tables_.startOfData.empty())
+    if (!img.startOfData.empty())
         panic("PrefilteredNfa: start-of-data starts in a prefilter "
               "group (windowed replay would miss anchored matches)");
-    if (toGlobal_.size() != tables_.elementCount)
+    if (toGlobal_.size() != img.elementCount)
         panic("PrefilteredNfa: toGlobal size mismatch");
     radius_.reserve(patterns.size());
     for (const PrefilterPattern &p : patterns) {
@@ -143,7 +143,7 @@ PrefilteredNfa::PrefilteredNfa(const Automaton &sub,
 void
 PrefilteredNfa::openRun(Exec &x, uint64_t lo) const
 {
-    x.scratch->beginRun(tables_.elementCount, img_.counters);
+    startRun(engine_.image(), *x.scratch);
     x.active = true;
     x.runStart = lo;
     x.fedEnd = lo;
@@ -163,51 +163,17 @@ PrefilteredNfa::feedTo(Exec &x, uint64_t target, const uint8_t *bytes,
 {
     if (target <= x.fedEnd)
         return;
-    const uint64_t base = x.scratch->base;
-    std::vector<uint64_t> &stamp = x.scratch->stamp;
-    std::vector<ElementId> &cur = x.scratch->cur;
-    std::vector<ElementId> &next = x.scratch->next;
-
-    // The counter-free core of NfaEngine::simulate, with absolute
-    // offsets: cycle t of this run is absolute position runStart + t.
-    // No start-of-data seeding (the constructor rejects such groups);
-    // all-input states enter through the per-byte index, exactly as
-    // they would at these offsets in an unfiltered run.
-    for (uint64_t abs = x.fedEnd; abs < target; ++abs) {
-        const uint64_t t = abs - x.runStart;
-        std::swap(cur, next);
-        next.clear();
-        x.totalEnabled += cur.size();
-
-        const uint8_t s = bytes[abs - bytesBase];
-        const uint32_t word = s >> 6;
-        const uint64_t bit = uint64_t(1) << (s & 63);
-
-        auto on_match = [&](ElementId id) {
-            if (img_.reporting[id]) {
-                x.reports.push_back(
-                    {abs, toGlobal_[id], img_.reportCode[id]});
-            }
-            for (uint32_t k = img_.edgeBegin[id];
-                 k < img_.edgeBegin[id + 1]; ++k) {
-                const ElementId tgt = img_.edgeTarget[k];
-                if (!img_.isAllInput[tgt] &&
-                    stamp[tgt] != base + t + 2) {
-                    stamp[tgt] = base + t + 2;
-                    next.push_back(tgt);
-                }
-            }
-        };
-
-        for (auto id : cur) {
-            if (img_.label[id][word] & bit)
-                on_match(id);
-        }
-        for (uint32_t k = img_.maiBegin[s]; k < img_.maiBegin[s + 1];
-             ++k) {
-            on_match(img_.maiTarget[k]);
-        }
-    }
+    // A window run starts from an empty enabled set: no start-of-data
+    // seeding (the constructor rejects such groups), and all-input
+    // states enter through the per-byte index exactly as they would
+    // at these offsets in an unfiltered run. Guard-free: run() and
+    // the planned session own the poll clock.
+    Status unguarded;
+    interpret(engine_.image(), *x.scratch, x.runStart, x.fedEnd, target,
+              bytes, bytesBase, &x.totalEnabled, nullptr, unguarded,
+              [&](uint64_t at, ElementId id, uint32_t code) {
+                  x.reports.push_back({at, toGlobal_[id], code});
+              });
     x.stats.windowBytes += target - x.fedEnd;
     x.fedEnd = target;
 }
@@ -286,6 +252,11 @@ PrefilteredNfa::Session::Session(const PrefilteredNfa &pf)
     : pf_(pf)
 {
     x_.scratch = &scratch_;
+    // Size the scratch now rather than at the first candidate, so the
+    // session's footprint (what admission prices) does not jump
+    // mid-stream.
+    const NfaExecImage &img = pf_.engine_.image();
+    scratch_.beginRun(img.elementCount, img.counters);
 }
 
 void
@@ -353,22 +324,10 @@ PrefilteredNfa::Session::reset()
 size_t
 PrefilteredNfa::footprintBytes() const
 {
-    const NfaExecTables &t = tables_;
-    size_t n = sizeof(*this);
-    n += (t.edgeBegin.capacity() + t.resetBegin.capacity() +
-          t.reportCode.capacity() + t.counterTarget.capacity() +
-          t.maiBegin.capacity()) * sizeof(uint32_t);
-    n += (t.edgeTarget.capacity() + t.resetTarget.capacity() +
-          t.allInput.capacity() + t.startOfData.capacity() +
-          t.counters.capacity() + t.maiTarget.capacity()) *
-        sizeof(ElementId);
-    n += t.label.capacity() * sizeof(t.label[0]);
-    n += t.reporting.capacity() + t.isCounter.capacity() +
-        t.isAllInput.capacity() + t.counterMode.capacity();
-    n += toGlobal_.capacity() * sizeof(ElementId);
-    n += radius_.capacity() * sizeof(uint32_t);
-    n += scanner_.footprintBytes();
-    return n;
+    return sizeof(*this) + engine_.footprintBytes() +
+        toGlobal_.capacity() * sizeof(ElementId) +
+        radius_.capacity() * sizeof(uint32_t) +
+        scanner_.footprintBytes();
 }
 
 } // namespace azoo

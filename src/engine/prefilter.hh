@@ -52,7 +52,7 @@
 
 #include "core/automaton.hh"
 #include "engine/engine_scratch.hh"
-#include "engine/exec_image.hh"
+#include "engine/nfa_engine.hh"
 #include "engine/report.hh"
 #include "util/status.hh"
 
@@ -217,7 +217,8 @@ class LiteralScanner
  * component; report element ids are remapped through @p toGlobal so
  * output refers to the original automaton.
  *
- * Not movable: the execution image holds spans into owned tables.
+ * Immutable after construction: block runs and any number of
+ * Sessions (on any threads) share it, each with its own scratch.
  */
 class PrefilteredNfa
 {
@@ -275,6 +276,9 @@ class PrefilteredNfa
      * chunk boundaries are found by re-scanning a bounded tail of a
      * rolling buffer. Guard-free by design — the planner's streaming
      * session owns the poll clock and slices its feeds accordingly.
+     * A Session borrows the (shared, immutable) PrefilteredNfa, which
+     * must outlive it; PlannedSession pins it through its
+     * CompiledPlan.
      */
     class Session
     {
@@ -335,8 +339,7 @@ class PrefilteredNfa
     void applyHit(Exec &x, uint64_t e, uint32_t pat, uint64_t avail,
                   const uint8_t *bytes, uint64_t bytesBase) const;
 
-    NfaExecTables tables_;
-    NfaExecImage img_;
+    NfaEngine engine_;
     std::vector<ElementId> toGlobal_;
     LiteralScanner scanner_;
     /** Per-pattern right reach; the left reach is always maxRadius_

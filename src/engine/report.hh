@@ -7,6 +7,7 @@
 #ifndef AZOO_ENGINE_REPORT_HH
 #define AZOO_ENGINE_REPORT_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <vector>
@@ -117,6 +118,15 @@ struct SimResult {
             ? static_cast<double>(reportingCycles) / symbols : 0.0;
     }
 };
+
+/** Sort recorded reports into the canonical (offset, element, code)
+ *  order every multi-part path emits. Apply to a serial SimResult
+ *  before comparing it against ParallelRunner or planned output. */
+inline void
+canonicalizeReports(SimResult &r)
+{
+    std::sort(r.reports.begin(), r.reports.end());
+}
 
 } // namespace azoo
 

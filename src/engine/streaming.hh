@@ -11,6 +11,12 @@
  * the reports of a single monolithic simulate() call (a property the
  * test suite checks).
  *
+ * A session holds only per-stream state (an EngineScratch and its
+ * results). The compiled tables belong to an NfaEngine the session
+ * borrows and pins, so any number of sessions — on any threads — can
+ * run over one engine, and feed() resumes the same interpreter kernel
+ * NfaEngine::simulate() runs (engine/interpreter.hh).
+ *
  * Sessions honour SimOptions::guard exactly like the monolithic
  * engines: the guard is polled every kGuardCheckIntervalSymbols
  * symbols of *stream* position (so chunking does not change poll
@@ -24,10 +30,12 @@
 #define AZOO_ENGINE_STREAMING_HH
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "core/automaton.hh"
 #include "engine/engine_scratch.hh"
+#include "engine/nfa_engine.hh"
 #include "engine/report.hh"
 
 namespace azoo {
@@ -36,11 +44,14 @@ namespace azoo {
 class StreamingSession
 {
   public:
-    /** The automaton must outlive the session. (In the serve path
-     *  that lifetime is guaranteed structurally: sessions are owned
-     *  by a MatchSessionPool whose RulesetGeneration pin keeps the
-     *  automaton alive until the last session is destroyed.) */
+    /** Compile @p a into an engine of this session's own (the
+     *  automaton is not referenced afterwards). Sessions that share a
+     *  ruleset should share one engine instead. */
     explicit StreamingSession(const Automaton &a);
+
+    /** Run over a shared compiled engine, pinned for the session's
+     *  lifetime. Never null. */
+    explicit StreamingSession(std::shared_ptr<const NfaEngine> engine);
 
     /**
      * Process a chunk; reports accumulate in results(). Returns the
@@ -67,12 +78,14 @@ class StreamingSession
     /** Total symbols consumed. */
     uint64_t offset() const { return t_; }
 
-    /** Reset to the start-of-stream state (results cleared). */
+    /** Reset to the start-of-stream state (results cleared).
+     *  O(counters + start-of-data states): the scratch epoch advance
+     *  retires every stamp the previous stream wrote. */
     void reset();
 
-    /** Resident bytes: flattened tables + scratch + report storage.
-     *  The serve layer's admission estimate is validated against
-     *  this. */
+    /** Resident bytes of this session's own state: scratch and
+     *  report storage. The engine's tables are shared and counted
+     *  once, by NfaEngine::footprintBytes(). */
     size_t footprintBytes() const;
 
     /** Simulation options (reports are always recorded unless
@@ -80,30 +93,14 @@ class StreamingSession
     SimOptions options;
 
   private:
-    void onMatch(ElementId id);
-
-    const Automaton &a_;
+    std::shared_ptr<const NfaEngine> engine_;
     SimResult result_;
     uint64_t t_ = 0;
-
-    /** Persistent per-element state (enable stamps, counter values,
-     *  worklists). Stamps are epoch-offset by scratch_.base so
-     *  reset() costs O(counters), not O(n): advancing the epoch past
-     *  every stamp the previous stream could have written invalidates
-     *  them all at once. */
+    /** Offset of the latest report (reporting-cycle tally). */
+    uint64_t lastReportAt_ = ~uint64_t(0);
+    /** Enable stamps, worklists and counter values, epoch-offset so
+     *  reset() never walks all n elements. */
     EngineScratch scratch_;
-    std::vector<ElementId> counters_;
-
-    // Engine-style flattened structure.
-    std::vector<uint32_t> edgeBegin_, resetBegin_;
-    std::vector<ElementId> edgeTarget_, resetTarget_;
-    std::vector<std::array<uint64_t, 4>> label_;
-    std::vector<uint8_t> isCounter_, isAllInput_, reporting_;
-    std::vector<uint32_t> reportCode_;
-    std::array<std::vector<ElementId>, 256> matchingAllInput_;
-    bool hasCounters_ = false;
-    bool hasResets_ = false;
-    uint8_t symbol_ = 0;
 };
 
 } // namespace azoo

@@ -3,11 +3,11 @@
  * Ruleset generations: the ownership layer that makes atomic hot
  * reload possible.
  *
- * The engine stack borrows (`const Automaton &` everywhere:
- * StreamingSession, PlannedSession, the pool). Borrowing is the right
- * call inside one run, but a daemon that swaps rulesets under live
- * traffic needs an owner whose lifetime is decided by the *last*
- * borrower, not the first. That owner is a CompiledRuleset: one
+ * A generation's pool compiles its automaton once (an NfaEngine or
+ * a CompiledPlan) and every session pins that compile. A daemon that
+ * swaps rulesets under live traffic also needs an owner of the
+ * automaton itself whose lifetime is decided by the *last* borrower,
+ * not the first. That owner is a CompiledRuleset: one
  * immutable bundle of everything a generation of sessions needs —
  * the automaton, its inferred component profiles, the engine/plan
  * configuration it was compiled against, and its observability

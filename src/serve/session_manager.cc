@@ -1,6 +1,5 @@
 #include "serve/session_manager.hh"
 
-#include "engine/parallel_runner.hh"
 #include "serve/ruleset.hh"
 #include "util/logging.hh"
 
@@ -13,7 +12,10 @@ namespace {
 class NfaMatchSession final : public MatchSession
 {
   public:
-    explicit NfaMatchSession(const Automaton &a) : s_(a) {}
+    explicit NfaMatchSession(std::shared_ptr<const NfaEngine> engine)
+        : s_(std::move(engine))
+    {
+    }
 
     size_t
     feed(const uint8_t *data, size_t len) override
@@ -45,11 +47,8 @@ class NfaMatchSession final : public MatchSession
 class PlannedMatchSession final : public MatchSession
 {
   public:
-    PlannedMatchSession(const Automaton &a,
-                        const std::vector<analysis::ComponentProfile>
-                            &profiles,
-                        const PlanOptions &popts)
-        : s_(a, profiles, popts)
+    explicit PlannedMatchSession(std::shared_ptr<const CompiledPlan> plan)
+        : s_(std::move(plan))
     {
     }
 
@@ -74,34 +73,23 @@ class PlannedMatchSession final : public MatchSession
 };
 
 /**
- * Resident-size estimate for one engine session. For the interpreter
- * the flattened per-element tables dominate (label bitmaps at
- * 32 B/element plus edge/flag arrays); the constant covers worklists,
- * the report vector's record cap, and allocator slack. A planned
- * session additionally copies its components into sub-automata,
- * carries the prefilter's exec tables and literal-scanner tables
- * (the Wu-Manber shift + bucket arrays alone are 64 Ki entries
- * each), and keeps a rolling stream-window buffer — roughly another
- * automaton's worth of tables plus a fixed scanner term. An estimate
- * is enough: admission only needs the right order of magnitude to
- * keep capacity * footprint under the budget, and the session tests
- * hold it to within one order of a measured footprintBytes().
+ * Resident-size estimate for one engine session: its own state only.
+ * The compiled tables (engine or plan) are shared by every session of
+ * a generation and fixed per generation, so they are not priced per
+ * session. Per element, the interpreter scratch holds enable, count
+ * and reset stamps (8 B each), a counter value (4 B), a latch byte and
+ * two worklist slots (4 B each): 37 B, rounded up to 40. The constant
+ * covers a planned session's prefilter window buffer and allocator
+ * slack. An estimate is enough: admission only needs the right order
+ * of magnitude to keep capacity * footprint under the budget, and the
+ * session tests hold it to within one order of a measured
+ * footprintBytes().
  */
 size_t
-estimateBytes(const Automaton &a, ServeEngine engine,
-              size_t maxReportRecords)
+estimateBytes(const Automaton &a, size_t maxReportRecords)
 {
-    size_t edges = 0;
-    for (const Element &e : a.elements())
-        edges += e.out.size() + e.resetOut.size();
-    size_t bytes = a.size() * 64 + edges * 8 +
-        maxReportRecords * sizeof(Report) + (64u << 10);
-    if (engine == ServeEngine::kPlanned) {
-        // Sub-automaton copies (graph Elements are heavier than the
-        // flattened tables) + exec image + scanner tables + window.
-        bytes += a.size() * 160 + edges * 16 + (512u << 10);
-    }
-    return bytes;
+    return a.size() * 40 + maxReportRecords * sizeof(Report) +
+        (64u << 10);
 }
 
 } // namespace
@@ -113,8 +101,7 @@ MatchSessionPool::MatchSessionPool(
     if (!gen_)
         panic("MatchSessionPool: null generation");
     engine_ = gen_->spec.engine;
-    sessionBytes_ =
-        estimateBytes(gen_->automaton, engine_, maxReportRecords);
+    sessionBytes_ = estimateBytes(gen_->automaton, maxReportRecords);
 }
 
 MatchSessionPool::MatchSessionPool(const Automaton &a, ServeEngine engine,
@@ -146,10 +133,19 @@ MatchSessionPool::acquire()
         return s;
     }
     ++created_;
-    if (engine_ == ServeEngine::kPlanned)
-        return std::make_unique<PlannedMatchSession>(
-            gen_->automaton, gen_->profiles, gen_->spec.plan);
-    return std::make_unique<NfaMatchSession>(gen_->automaton);
+    // The generation's one compile, shared by every session. Deferred
+    // to the first acquire so that building a pool (at start-up, or
+    // on a reload worker) stays cheap.
+    if (engine_ == ServeEngine::kPlanned) {
+        if (!plan_) {
+            plan_ = std::make_shared<const CompiledPlan>(
+                gen_->automaton, gen_->profiles, gen_->spec.plan);
+        }
+        return std::make_unique<PlannedMatchSession>(plan_);
+    }
+    if (!nfa_)
+        nfa_ = std::make_shared<const NfaEngine>(gen_->automaton);
+    return std::make_unique<NfaMatchSession>(nfa_);
 }
 
 void

@@ -12,12 +12,14 @@
  *    path has exactly one shape.
  *
  *  - MatchSessionPool recycles engine sessions across client
- *    sessions. Construction is O(automaton), reset() is O(counters),
- *    so a pool turns per-session setup cost into a one-time cost per
- *    concurrency slot. The pool's correctness contract — a reused
- *    session behaves bit-identically to a fresh one, including after
- *    a guard stop — is what the reset-reuse regression in
- *    tests/test_streaming.cc pins across the zoo.
+ *    sessions. The pool compiles its generation once (one NfaEngine
+ *    or one CompiledPlan, on the first acquire()) and every session
+ *    borrows it, holding only per-stream state; reset() is
+ *    O(counters + start states), so a pooled session costs one
+ *    scratch allocation per concurrency slot. The pool's correctness
+ *    contract — a reused session behaves bit-identically to a fresh
+ *    one, including after a guard stop — is what the reset-reuse
+ *    regression in tests/test_streaming.cc pins across the zoo.
  *
  *  - SessionManager is the admission controller: a hard session-table
  *    cap and a memory budget translated into a session cap
@@ -95,10 +97,10 @@ class MatchSession
     /** Simulation options (guard, record caps); set before feeding. */
     virtual SimOptions &options() = 0;
 
-    /** Measured resident footprint: the sum of this session's owned
-     *  container capacities (tables, scratch, buffers, report
-     *  vectors). The admission estimate is validated against this in
-     *  tests. */
+    /** Measured resident footprint of this session's own state: the
+     *  sum of its container capacities (scratch, window buffers,
+     *  report vectors). The shared compiled tables are not included.
+     *  The admission estimate is validated against this in tests. */
     virtual size_t footprintBytes() const = 0;
 };
 
@@ -115,11 +117,12 @@ enum class ServeEngine : uint8_t {
  * owns acquire/release (workers only touch a session between them).
  *
  * The pool is keyed by generation by construction: it owns a
- * RulesetGeneration pin, every session it creates references that
- * generation's automaton, and a hot reload swaps in a whole new pool
- * — so a pooled session can never be reused across rulesets, and a
- * retired generation dies exactly when its pool (and therefore its
- * last session) does.
+ * RulesetGeneration pin, compiles that generation's automaton once
+ * (lazily, on the first acquire(), so building a pool stays cheap),
+ * every session it creates executes that one compile, and a hot
+ * reload swaps in a whole new pool — so a pooled session can never be
+ * reused across rulesets, and a retired generation dies exactly when
+ * its pool (and therefore its last session) does.
  */
 class MatchSessionPool
 {
@@ -145,10 +148,10 @@ class MatchSessionPool
     std::unique_ptr<MatchSession> acquire();
     void release(std::unique_ptr<MatchSession> s);
 
-    /** Estimated resident bytes of one session: flattened automaton
-     *  tables + scratch, plus the planned engine's extra sub-automaton
-     *  copies, prefilter scanner tables, and window buffers; the
-     *  admission controller's memory unit. */
+    /** Estimated resident bytes of one session's own state (scratch,
+     *  window buffers, report records); the admission controller's
+     *  memory unit. The shared compile is fixed per generation and
+     *  not priced per session. */
     size_t estimatedSessionBytes() const { return sessionBytes_; }
 
     /** Sessions constructed so far (reuse keeps this at the
@@ -165,10 +168,12 @@ class MatchSessionPool
     uint64_t epoch() const;
 
   private:
-    /** Declared first so it outlives free_: pooled sessions reference
-     *  the generation's automaton and must be destroyed before it. */
     std::shared_ptr<const CompiledRuleset> gen_;
     ServeEngine engine_;
+    /** The generation's compile (the one matching engine_), built by
+     *  the first acquire(); sessions pin it too. */
+    std::shared_ptr<const NfaEngine> nfa_;
+    std::shared_ptr<const CompiledPlan> plan_;
     std::vector<std::unique_ptr<MatchSession>> free_;
     size_t created_ = 0;
     size_t sessionBytes_ = 0;

@@ -12,6 +12,7 @@
 #include <atomic>
 #include <latch>
 #include <numeric>
+#include <string>
 
 #include "core/builder.hh"
 #include "engine/nfa_engine.hh"
@@ -100,11 +101,14 @@ TEST(ThreadPool, SingleWorkerStillCompletes)
 
 /** Benchmarks covering plain STEs, all-input heavy graphs, and
  *  counters with reset edges. */
-const char *const kZooCases[] = {"Snort", "Protomata",
+// Held as std::string so gtest prints the text rather than a pointer:
+// the value becomes part of each test's CTest name, which must not
+// change from one build or run to the next.
+const std::string kZooCases[] = {"Snort", "Protomata",
                                  "Seq. Match 6w 6p wC"};
 
 class ParallelVsSerial
-    : public testing::TestWithParam<std::tuple<const char *, size_t>>
+    : public testing::TestWithParam<std::tuple<std::string, size_t>>
 {
 };
 

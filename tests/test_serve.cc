@@ -26,6 +26,8 @@
 #include "core/serialize.hh"
 #include "engine/nfa_engine.hh"
 #include "engine/parallel_runner.hh"
+#include "engine/planner.hh"
+#include "obs/obs.hh"
 #include "serve/client.hh"
 #include "serve/ruleset.hh"
 #include "serve/server.hh"
@@ -33,6 +35,7 @@
 #include "util/logging.hh"
 #include "util/net.hh"
 #include "util/rng.hh"
+#include "zoo/registry.hh"
 
 namespace azoo {
 namespace serve {
@@ -878,6 +881,65 @@ TEST(ServeSession, EstimateWithinOrderOfMagnitudeOfMeasured)
             << "engine " << static_cast<int>(eng) << ": estimate "
             << estimate << " vs measured " << measured;
         pool.release(std::move(s));
+    }
+}
+
+// ---------------------------------------------------------------
+// One compile per pool: sessions borrow it.
+
+/** Sum of the planner.assignments.<backend> counters. */
+uint64_t
+assignedComponents()
+{
+    uint64_t n = 0;
+    for (size_t b = 0; b < kPlanBackends; ++b) {
+        n += obs::Registry::global().counterValue(
+            cat("planner.assignments.",
+                planBackendName(static_cast<PlanBackend>(b))));
+    }
+    return n;
+}
+
+TEST(ServeSession, PoolCompilesOncePerGeneration)
+{
+    if (!obs::kEnabled)
+        GTEST_SKIP() << "AZOO_OBS=OFF: hooks compiled out";
+    zoo::ZooConfig cfg;
+    cfg.scale = 0.01;
+    cfg.inputBytes = 4096;
+    const zoo::Benchmark b = zoo::makeBenchmark("Snort", cfg);
+    uint32_t components = 0;
+    b.automaton.connectedComponents(components);
+    obs::Registry &reg = obs::Registry::global();
+    constexpr size_t kSessions = 5;
+
+    for (ServeEngine eng : {ServeEngine::kNfa, ServeEngine::kPlanned}) {
+        SCOPED_TRACE(static_cast<int>(eng));
+        const uint64_t compiles0 = reg.counterValue("engine.nfa.compiles");
+        const uint64_t assigned0 = assignedComponents();
+        MatchSessionPool pool(b.automaton, eng);
+        // Building the pool compiles nothing: that waits for the
+        // first acquire().
+        EXPECT_EQ(reg.counterValue("engine.nfa.compiles"), compiles0);
+        EXPECT_EQ(assignedComponents(), assigned0);
+
+        // K sessions alive at once: K created, one compile.
+        for (int pass = 0; pass < 2; ++pass) {
+            std::vector<std::unique_ptr<MatchSession>> live;
+            for (size_t k = 0; k < kSessions; ++k) {
+                live.push_back(pool.acquire());
+                live.back()->feed(b.input.data(), b.input.size());
+            }
+            for (auto &s : live)
+                pool.release(std::move(s));
+        }
+        EXPECT_EQ(pool.created(), kSessions);
+        if (eng == ServeEngine::kNfa) {
+            EXPECT_EQ(reg.counterValue("engine.nfa.compiles"),
+                      compiles0 + 1);
+        } else {
+            EXPECT_EQ(assignedComponents(), assigned0 + components);
+        }
     }
 }
 

@@ -2,11 +2,16 @@
  * @file
  * StreamingSession tests: chunked feeding is equivalent to monolithic
  * simulation for arbitrary chunkings, including single-byte feeds,
- * counter state across boundaries, and reset semantics.
+ * counter state across boundaries, reset semantics, and sessions on
+ * several threads sharing one compiled engine or plan.
  */
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <thread>
+
+#include "analysis/profile.hh"
 #include "core/builder.hh"
 #include "engine/nfa_engine.hh"
 #include "engine/parallel_runner.hh"
@@ -359,6 +364,129 @@ TEST(SessionReuse, StreamingResetIsBitIdenticalAcrossZoo)
 TEST(SessionReuse, PlannedResetIsBitIdenticalAcrossZoo)
 {
     cycleResetAcrossZoo<PlannedSession>();
+}
+
+// ---------------------------------------------------------------
+// Compile once, execute many times. Sessions hold only per-stream
+// state over one shared NfaEngine or CompiledPlan, so the compiled
+// form must be safe to share across threads and a session's results
+// must not depend on who else runs over it. Four threads stream the
+// same inputs through sessions over one engine and one plan, at
+// random chunk splits (many of them single bytes), reusing each
+// session via reset() between streams; every result must equal the
+// serial NfaEngine's.
+
+/** Semantic fields of @p got equal @p want's (both canonical). */
+void
+expectSameResult(const SimResult &got, const SimResult &want,
+                 bool sameActiveSet, const std::string &what)
+{
+    EXPECT_EQ(got.symbols, want.symbols) << what;
+    EXPECT_EQ(got.reportCount, want.reportCount) << what;
+    EXPECT_EQ(got.reportingCycles, want.reportingCycles) << what;
+    EXPECT_EQ(got.byCode, want.byCode) << what;
+    EXPECT_EQ(got.reports, want.reports) << what;
+    if (sameActiveSet) {
+        EXPECT_EQ(got.totalEnabled, want.totalEnabled) << what;
+    }
+}
+
+TEST(SharedCompile, SessionsOnFourThreadsMatchSerial)
+{
+    constexpr size_t kThreads = 4;
+    constexpr size_t kStreams = 6;
+    constexpr size_t kStreamBytes = 4096;
+    SimOptions opts;
+    opts.countByCode = true;
+
+    // Scales picked so every stream carries reports: Snort's rules
+    // thin out below 0.05, and Seq. Match's support counters (latched,
+    // so they carry state across chunk boundaries) need a low
+    // threshold to fire inside one short stream.
+    zoo::ZooConfig cfg;
+    cfg.inputBytes = kStreams * kStreamBytes;
+    std::vector<zoo::Benchmark> zooBenchmarks;
+    cfg.scale = 0.05;
+    zooBenchmarks.push_back(zoo::makeBenchmark("Snort", cfg));
+    cfg.scale = 0.01;
+    zooBenchmarks.push_back(zoo::makeBenchmark("ClamAV", cfg));
+    cfg.scale = 0.002;
+    zoo::SeqMatchParams counters;
+    counters.withCounters = true;
+    counters.supportThreshold = 2;
+    zooBenchmarks.push_back(zoo::makeSeqMatchBenchmark(cfg, counters));
+
+    for (const zoo::Benchmark &b : zooBenchmarks) {
+        SCOPED_TRACE(b.name);
+        std::vector<std::vector<uint8_t>> streams;
+        std::vector<SimResult> want;
+        const NfaEngine serial(b.automaton);
+        uint64_t reports = 0;
+        for (size_t k = 0; k < kStreams; ++k) {
+            const auto *p = b.input.data() + k * kStreamBytes;
+            streams.emplace_back(p, p + kStreamBytes);
+            want.push_back(canon(serial.simulate(streams.back(), opts)));
+            reports += want.back().reportCount;
+        }
+        ASSERT_GT(reports, 0u) << "inputs too sparse to compare";
+
+        const auto engine = std::make_shared<const NfaEngine>(b.automaton);
+        const auto plan = std::make_shared<const CompiledPlan>(
+            b.automaton, analysis::inferProfiles(b.automaton));
+
+        // got[thread][i]: the NFA and planned results of the i-th
+        // stream that thread ran.
+        struct Got {
+            size_t stream;
+            SimResult nfa, planned;
+        };
+        std::vector<std::vector<Got>> got(kThreads);
+        std::vector<std::thread> workers;
+        for (size_t t = 0; t < kThreads; ++t) {
+            workers.emplace_back([&, t] {
+                Rng rng(4200 + t);
+                StreamingSession nfa(engine);
+                PlannedSession planned(plan);
+                nfa.options = opts;
+                planned.options = opts;
+                for (size_t i = 0; i < kStreams; ++i) {
+                    const size_t k = (i + t) % kStreams;
+                    const std::vector<uint8_t> &in = streams[k];
+                    nfa.reset();
+                    planned.reset();
+                    for (size_t pos = 0; pos < in.size();) {
+                        const size_t n = std::min<size_t>(
+                            rng.nextBool(0.3) ? 1
+                                              : 1 + rng.nextBelow(700),
+                            in.size() - pos);
+                        nfa.feed(in.data() + pos, n);
+                        planned.feed(in.data() + pos, n);
+                        pos += n;
+                    }
+                    got[t].push_back(
+                        {k, canon(nfa.results()), planned.results()});
+                }
+            });
+        }
+        for (std::thread &w : workers)
+            w.join();
+
+        for (size_t t = 0; t < kThreads; ++t) {
+            ASSERT_EQ(got[t].size(), kStreams);
+            for (const Got &g : got[t]) {
+                const std::string what = "thread " + std::to_string(t) +
+                    ", stream " + std::to_string(g.stream);
+                expectSameResult(g.nfa, want[g.stream], true,
+                                 what + " (nfa)");
+                // The planned active set is engine-defined.
+                expectSameResult(g.planned, want[g.stream], false,
+                                 what + " (planned)");
+            }
+        }
+        // The sessions are gone, and with them their pins.
+        EXPECT_EQ(engine.use_count(), 1);
+        EXPECT_EQ(plan.use_count(), 1);
+    }
 }
 
 } // namespace
