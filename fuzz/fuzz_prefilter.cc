@@ -7,9 +7,10 @@
  * NfaEngine, PlannedEngine with the prefilter enabled, PlannedEngine
  * with it disabled, and a chunked PlannedSession — and traps unless
  * all four produce identical canonical reports. Literal lengths span
- * 1..8 so the fuzzer drives both plannable (>= minScanLiteral) and
- * interpreter-routed chains, and the chunk size spans the guard-poll
- * interval so feeds straddle poll boundaries.
+ * 1..8 so the fuzzer drives both plannable (at least the planner's
+ * 4-byte minimum scan literal) and interpreter-routed chains, and the
+ * chunk size spans the guard-poll interval so feeds straddle poll
+ * boundaries.
  */
 
 #include <algorithm>

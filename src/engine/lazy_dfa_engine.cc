@@ -10,33 +10,6 @@ namespace azoo {
 
 namespace {
 
-/** Per-run metrics flush for the lazy half. Hits/misses are counted
- *  in simulateLazy() stack locals — never one atomic per symbol —
- *  and land here once per run. The hybrid path's fallback half is
- *  accounted separately under engine.nfa.* by the interpreter. */
-void
-noteLazyRun(const SimResult &res, uint64_t hits, uint64_t misses)
-{
-    if (!obs::kEnabled)
-        return;
-    obs::Registry &reg = obs::Registry::global();
-    static obs::Counter &runs = reg.counter("engine.lazy.runs");
-    static obs::Counter &symbols = reg.counter("engine.lazy.symbols");
-    static obs::Counter &cacheHits =
-        reg.counter("engine.lazy.cache_hits");
-    static obs::Counter &cacheMisses =
-        reg.counter("engine.lazy.cache_misses");
-    static obs::Counter &cacheFlushes =
-        reg.counter("engine.lazy.cache_flushes");
-    runs.inc();
-    symbols.add(res.symbols);
-    cacheHits.add(hits);
-    cacheMisses.add(misses);
-    cacheFlushes.add(res.lazyFlushes);
-    if (!res.guardStatus.ok())
-        obs::noteGuardStop("engine.lazy", res.guardStatus.code());
-}
-
 /** FNV-1a over the raw words of a sorted local-id set. */
 uint64_t
 hashSet(const std::vector<uint32_t> &set)
@@ -67,85 +40,57 @@ poolBytes(size_t listSize)
 
 } // namespace
 
-LazyDfaEngine::LazyDfaEngine(const Automaton &a,
-                             const LazyDfaOptions &opts)
-    : a_(a), opts_(opts)
-{
-    // A counter stays with everything that counts or resets it: the
-    // partition's components span activation *and* reset edges.
-    const ComponentPartition parts(a);
-    std::vector<uint32_t> groupOf(parts.count(),
-                                  ComponentPartition::kNoGroup);
-    std::vector<ElementId> lazyMembers;
-    for (ElementId i = 0; i < a.size(); ++i) {
-        if (a.element(i).kind == ElementKind::kCounter)
-            groupOf[parts.of(i)] = 0;
-    }
-    for (ElementId i = 0; i < a.size(); ++i) {
-        if (groupOf[parts.of(i)] == ComponentPartition::kNoGroup)
-            lazyMembers.push_back(i);
-    }
-    fallbackComponentCount_ = static_cast<size_t>(
-        std::count(groupOf.begin(), groupOf.end(), 0u));
+// ---------------------------------------------------------------------
+// LazyDfaTables
 
-    buildLazyPart(lazyMembers);
-    if (fallbackComponentCount_) {
-        ComponentPartition::Group fb = std::move(parts.split(groupOf, 1)[0]);
-        fallbackEngine_ = std::make_unique<NfaEngine>(fb.sub);
-        fallbackToGlobal_ = std::move(fb.toGlobal);
-    }
-
-    pool_.emplace_back(); // index 0 = the empty report list
-}
-
-void
-LazyDfaEngine::buildLazyPart(const std::vector<ElementId> &members)
+LazyDfaTables::LazyDfaTables(const Automaton &a,
+                             const std::vector<ElementId> &members)
+    : globalId(members)
 {
     const auto m = static_cast<uint32_t>(members.size());
-    globalId_ = members;
-
-    std::vector<uint32_t> toLocal(a_.size(), kUnknown);
+    constexpr uint32_t kNone = ~uint32_t(0);
+    std::vector<uint32_t> toLocal(a.size(), kNone);
     for (uint32_t i = 0; i < m; ++i)
         toLocal[members[i]] = i;
 
     std::vector<uint8_t> isAllInput(m, 0);
-    label_.resize(m);
-    reporting_.assign(m, 0);
-    reportCode_.assign(m, 0);
-    edgeBegin_.assign(m + 1, 0);
+    label.resize(m);
+    reporting.assign(m, 0);
+    reportCode.assign(m, 0);
+    edgeBegin.assign(m + 1, 0);
     for (uint32_t i = 0; i < m; ++i) {
-        const Element &e = a_.element(members[i]);
+        const Element &e = a.element(members[i]);
         for (int w = 0; w < 4; ++w)
-            label_[i][w] = e.symbols.word(w);
-        reporting_[i] = e.reporting;
-        reportCode_[i] = e.reportCode;
+            label[i][w] = e.symbols.word(w);
+        reporting[i] = e.reporting;
+        reportCode[i] = e.reportCode;
         if (e.start == StartType::kAllInput) {
             isAllInput[i] = 1;
             for (int v = 0; v < 256; ++v) {
                 if (e.symbols.test(static_cast<uint8_t>(v)))
-                    matchingAllInput_[v].push_back(i);
+                    matchingAllInput[v].push_back(i);
             }
         } else if (e.start == StartType::kStartOfData) {
-            start0_.push_back(i);
+            start0.push_back(i);
         }
     }
     // CSR with all-input targets pre-filtered: they never enter a
-    // state-set (the matchingAllInput_ index covers them per byte),
-    // exactly mirroring NfaEngine's isAllInput_ skip.
+    // state-set (the matchingAllInput index covers them per byte),
+    // exactly mirroring NfaEngine's isAllInput skip.
     for (uint32_t i = 0; i < m; ++i) {
         uint32_t deg = 0;
-        for (auto t : a_.element(members[i]).out) {
+        for (auto t : a.element(members[i]).out) {
             if (!isAllInput[toLocal[t]])
                 ++deg;
         }
-        edgeBegin_[i + 1] = edgeBegin_[i] + deg;
+        edgeBegin[i + 1] = edgeBegin[i] + deg;
     }
-    edgeTarget_.reserve(edgeBegin_[m]);
+    edgeTarget.reserve(edgeBegin[m]);
     for (uint32_t i = 0; i < m; ++i) {
-        for (auto t : a_.element(members[i]).out) {
+        for (auto t : a.element(members[i]).out) {
             const uint32_t lt = toLocal[t];
             if (!isAllInput[lt])
-                edgeTarget_.push_back(lt);
+                edgeTarget.push_back(lt);
         }
     }
 
@@ -157,7 +102,7 @@ LazyDfaEngine::buildLazyPart(const std::vector<ElementId> &members)
     {
         std::unordered_map<uint64_t, std::vector<const CharSet *>> seen;
         for (uint32_t i = 0; i < m; ++i) {
-            const CharSet &cs = a_.element(members[i]).symbols;
+            const CharSet &cs = a.element(members[i]).symbols;
             auto &bucket = seen[cs.hash()];
             bool dup = false;
             for (const auto *c : bucket) {
@@ -183,20 +128,42 @@ LazyDfaEngine::buildLazyPart(const std::vector<ElementId> &members)
             // class id always fits a byte.
             it = sigToClass.emplace(
                 sig, static_cast<uint8_t>(sigToClass.size())).first;
-            classRep_.push_back(static_cast<uint8_t>(b));
+            classRep.push_back(static_cast<uint8_t>(b));
         }
-        classOf_[b] = it->second;
+        classOf[b] = it->second;
     }
-    numClasses_ = static_cast<uint32_t>(
+    numClasses = static_cast<uint32_t>(
         std::max<size_t>(1, sigToClass.size()));
-    if (classRep_.empty())
-        classRep_.push_back(0);
+    if (classRep.empty())
+        classRep.push_back(0);
+}
 
-    inNext_.assign(m, 0);
+size_t
+LazyDfaTables::footprintBytes() const
+{
+    size_t n = sizeof(*this);
+    n += (globalId.capacity() + edgeBegin.capacity() +
+          edgeTarget.capacity() + reportCode.capacity() +
+          start0.capacity()) * sizeof(uint32_t);
+    n += label.capacity() * sizeof(label[0]);
+    n += reporting.capacity() + classRep.capacity();
+    for (const std::vector<uint32_t> &v : matchingAllInput)
+        n += v.capacity() * sizeof(uint32_t);
+    return n;
+}
+
+// ---------------------------------------------------------------------
+// LazyDfaCache
+
+LazyDfaCache::LazyDfaCache(const LazyDfaTables &tables, size_t cacheBytes)
+    : t_(tables), budget_(cacheBytes)
+{
+    pool_.emplace_back(); // index 0 = the empty report list
+    inNext_.assign(t_.elements(), 0);
 }
 
 uint32_t
-LazyDfaEngine::intern(const std::vector<uint32_t> &set)
+LazyDfaCache::intern(const std::vector<uint32_t> &set)
 {
     const uint64_t h = hashSet(set);
     auto &bucket = buckets_[h];
@@ -207,14 +174,14 @@ LazyDfaEngine::intern(const std::vector<uint32_t> &set)
     const auto id = static_cast<uint32_t>(members_.size());
     members_.push_back(set);
     bucket.push_back(id);
-    next_.resize(members_.size() * numClasses_, kUnknown);
-    reportIdx_.resize(members_.size() * numClasses_, 0);
-    bytesUsed_ += stateBytes(set.size(), numClasses_);
+    next_.resize(members_.size() * t_.numClasses, kUnknown);
+    reportIdx_.resize(members_.size() * t_.numClasses, 0);
+    bytesUsed_ += stateBytes(set.size(), t_.numClasses);
     return id;
 }
 
 uint32_t
-LazyDfaEngine::internReports(
+LazyDfaCache::internReports(
     const std::vector<std::pair<ElementId, uint32_t>> &reps)
 {
     auto it = poolIds_.find(reps);
@@ -228,7 +195,7 @@ LazyDfaEngine::internReports(
 }
 
 void
-LazyDfaEngine::flushCache()
+LazyDfaCache::flushCache()
 {
     members_.clear();
     buckets_.clear();
@@ -239,26 +206,26 @@ LazyDfaEngine::flushCache()
     poolIds_.clear();
     cachedTransitions_ = 0;
     bytesUsed_ = 0;
-    startState_ = kUnknown;
     ++flushes_;
 }
 
 size_t
-LazyDfaEngine::fillCell(uint32_t &cur, uint32_t cls)
+LazyDfaCache::fillCell(uint32_t &cur, uint32_t cls)
 {
     // Copy: interning below may reallocate members_.
     const std::vector<uint32_t> curSet = members_[cur];
-    const uint8_t rep = classRep_[cls];
+    const uint8_t rep = t_.classRep[cls];
     const uint32_t word = rep >> 6;
     const uint64_t bit = uint64_t(1) << (rep & 63);
 
     succScratch_.clear();
     repScratch_.clear();
     auto onMatch = [&](uint32_t ls) {
-        if (reporting_[ls])
-            repScratch_.emplace_back(globalId_[ls], reportCode_[ls]);
-        for (uint32_t k = edgeBegin_[ls]; k < edgeBegin_[ls + 1]; ++k) {
-            const uint32_t tgt = edgeTarget_[k];
+        if (t_.reporting[ls])
+            repScratch_.emplace_back(t_.globalId[ls], t_.reportCode[ls]);
+        for (uint32_t k = t_.edgeBegin[ls]; k < t_.edgeBegin[ls + 1];
+             ++k) {
+            const uint32_t tgt = t_.edgeTarget[k];
             if (!inNext_[tgt]) {
                 inNext_[tgt] = 1;
                 succScratch_.push_back(tgt);
@@ -266,10 +233,10 @@ LazyDfaEngine::fillCell(uint32_t &cur, uint32_t cls)
         }
     };
     for (uint32_t ls : curSet) {
-        if (label_[ls][word] & bit)
+        if (t_.label[ls][word] & bit)
             onMatch(ls);
     }
-    for (uint32_t al : matchingAllInput_[rep])
+    for (uint32_t al : t_.matchingAllInput[rep])
         onMatch(al);
     for (uint32_t t : succScratch_)
         inNext_[t] = 0;
@@ -279,9 +246,9 @@ LazyDfaEngine::fillCell(uint32_t &cur, uint32_t cls)
     // Budget check with a worst-case (both inserts are new) estimate.
     // Keeping at least the current and next state guarantees forward
     // progress even when a single transition overshoots the budget.
-    const size_t need = stateBytes(succScratch_.size(), numClasses_) +
+    const size_t need = stateBytes(succScratch_.size(), t_.numClasses) +
         poolBytes(repScratch_.size());
-    if (bytesUsed_ + need > opts_.cacheBytes && members_.size() > 2) {
+    if (bytesUsed_ + need > budget_ && members_.size() > 2) {
         flushCache();
         cur = intern(curSet);
     }
@@ -289,47 +256,49 @@ LazyDfaEngine::fillCell(uint32_t &cur, uint32_t cls)
     const uint32_t tgt = intern(succScratch_);
     const uint32_t ridx =
         repScratch_.empty() ? 0 : internReports(repScratch_);
-    const size_t cell = static_cast<size_t>(cur) * numClasses_ + cls;
+    const size_t cell = static_cast<size_t>(cur) * t_.numClasses + cls;
     next_[cell] = tgt;
     reportIdx_[cell] = ridx;
     ++cachedTransitions_;
     return cell;
 }
 
-void
-LazyDfaEngine::simulateLazy(const uint8_t *input, size_t len,
-                            const SimOptions &opts, SimResult &res)
+uint64_t
+LazyDfaCache::resume(uint64_t from, uint64_t to, const uint8_t *bytes,
+                     const SimOptions &opts, SimResult &res)
 {
-    const uint64_t flushesBefore = flushes_;
-    uint64_t consumed = len;
-    uint64_t cacheHits = 0, cacheMisses = 0;
-    if (!globalId_.empty()) {
-        if (startState_ == kUnknown)
-            startState_ = intern(start0_);
-        uint32_t cur = startState_;
-        for (uint64_t t = 0; t < len; ++t) {
-            if (opts.guard &&
-                (t & (kGuardCheckIntervalSymbols - 1)) == 0) {
+    constexpr uint64_t kPollMask = kGuardCheckIntervalSymbols - 1;
+    if (cur_ == kUnknown)
+        cur_ = intern(t_.start0);
+    uint32_t cur = cur_;
+    uint64_t hits = 0, misses = 0;
+    uint64_t t = from;
+    while (t < to) {
+        uint64_t segEnd = to;
+        if (opts.guard) {
+            if ((t & kPollMask) == 0) {
                 Status st = opts.guard->check(t);
                 if (!st.ok()) {
                     res.guardStatus = std::move(st);
-                    consumed = t;
                     break;
                 }
             }
+            segEnd = std::min(to, (t | kPollMask) + 1);
+        }
+        for (; t < segEnd; ++t) {
             // The state-set is exactly NfaEngine's edge-enabled set
             // (all-input starts excluded), so its size *is* the
             // active set for this cycle.
             if (opts.computeActiveSet)
                 res.totalEnabled += members_[cur].size();
 
-            const uint32_t cls = classOf_[input[t]];
-            size_t cell = static_cast<size_t>(cur) * numClasses_ + cls;
+            const uint32_t cls = t_.classOf[bytes[t - from]];
+            size_t cell = static_cast<size_t>(cur) * t_.numClasses + cls;
             if (next_[cell] == kUnknown) {
                 cell = fillCell(cur, cls);
-                ++cacheMisses;
+                ++misses;
             } else {
-                ++cacheHits;
+                ++hits;
             }
 
             const uint32_t ridx = reportIdx_[cell];
@@ -352,31 +321,108 @@ LazyDfaEngine::simulateLazy(const uint8_t *input, size_t len,
             cur = next_[cell];
         }
     }
-    res.symbols = consumed;
-    res.lazyFlushes = flushes_ - flushesBefore;
-    res.lazyStates = members_.size();
-    res.lazyFallbackComponents = fallbackComponentCount_;
-    noteLazyRun(res, cacheHits, cacheMisses);
+    cur_ = cur;
+    hits_ += hits;
+    misses_ += misses;
+    return t;
+}
+
+void
+LazyDfaCache::noteRun(uint64_t symbols)
+{
+    // Hits and misses are tallied in resume()'s locals — never one
+    // atomic per symbol — and land in the registry once per run.
+    if (obs::kEnabled) {
+        obs::Registry &reg = obs::Registry::global();
+        static obs::Counter &runs = reg.counter("engine.lazy.runs");
+        static obs::Counter &syms = reg.counter("engine.lazy.symbols");
+        static obs::Counter &cacheHits =
+            reg.counter("engine.lazy.cache_hits");
+        static obs::Counter &cacheMisses =
+            reg.counter("engine.lazy.cache_misses");
+        static obs::Counter &cacheFlushes =
+            reg.counter("engine.lazy.cache_flushes");
+        runs.inc();
+        syms.add(symbols);
+        cacheHits.add(hits_);
+        cacheMisses.add(misses_);
+        cacheFlushes.add(flushes_ - notedFlushes_);
+    }
+    hits_ = misses_ = 0;
+    notedFlushes_ = flushes_;
+}
+
+size_t
+LazyDfaCache::footprintBytes() const
+{
+    return sizeof(*this) + bytesUsed_ + inNext_.capacity() +
+        succScratch_.capacity() * sizeof(uint32_t) +
+        repScratch_.capacity() * sizeof(repScratch_[0]);
+}
+
+// ---------------------------------------------------------------------
+// LazyDfaEngine
+
+LazyDfaEngine::LazyDfaEngine(const Automaton &a,
+                             const LazyDfaOptions &opts)
+    : tables_(a, splitCounters(a)), cache_(tables_, opts.cacheBytes)
+{
+}
+
+std::vector<ElementId>
+LazyDfaEngine::splitCounters(const Automaton &a)
+{
+    // A counter stays with everything that counts or resets it: the
+    // partition's components span activation *and* reset edges.
+    const ComponentPartition parts(a);
+    std::vector<uint32_t> groupOf(parts.count(),
+                                  ComponentPartition::kNoGroup);
+    for (ElementId i = 0; i < a.size(); ++i) {
+        if (a.element(i).kind == ElementKind::kCounter)
+            groupOf[parts.of(i)] = 0;
+    }
+    std::vector<ElementId> lazyMembers;
+    for (ElementId i = 0; i < a.size(); ++i) {
+        if (groupOf[parts.of(i)] == ComponentPartition::kNoGroup)
+            lazyMembers.push_back(i);
+    }
+    fallbackComponentCount_ = static_cast<size_t>(
+        std::count(groupOf.begin(), groupOf.end(), 0u));
+    if (fallbackComponentCount_) {
+        ComponentPartition::Group fb = std::move(parts.split(groupOf, 1)[0]);
+        fallbackEngine_ = std::make_unique<NfaEngine>(fb.sub);
+        fallbackToGlobal_ = std::move(fb.toGlobal);
+    }
+    return lazyMembers;
 }
 
 SimResult
 LazyDfaEngine::simulate(const uint8_t *input, size_t len,
                         const SimOptions &opts)
 {
+    // Pure lazy path: reports stream out already in canonical
+    // (offset, element, code) order, so everything is computed
+    // directly with the caller's options. Hybrid path: both halves
+    // record their full report streams so the canonical merge can
+    // reconstruct reportingCycles and byCode exactly; the caller's
+    // recording options apply to the merge.
+    const SimOptions inner = fallbackEngine_ ? recordAllOptions(opts) : opts;
     SimResult res;
-    if (!fallbackEngine_) {
-        // Pure lazy path: reports stream out already in canonical
-        // (offset, element, code) order, so everything is computed
-        // directly with the caller's options.
-        simulateLazy(input, len, opts, res);
-        return res;
+    res.symbols = len;
+    const uint64_t flushes0 = cache_.flushes();
+    if (tables_.elements()) {
+        cache_.restart();
+        res.symbols = cache_.resume(0, len, input, inner, res);
     }
+    cache_.noteRun(res.symbols);
+    res.lazyFlushes = cache_.flushes() - flushes0;
+    res.lazyStates = cache_.states();
+    res.lazyFallbackComponents = fallbackComponentCount_;
+    if (!res.guardStatus.ok())
+        obs::noteGuardStop("engine.lazy", res.guardStatus.code());
+    if (!fallbackEngine_)
+        return res;
 
-    // Hybrid path: both halves record their full report streams so
-    // the canonical merge can reconstruct reportingCycles and byCode
-    // exactly; the caller's recording options apply to the merge.
-    const SimOptions inner = recordAllOptions(opts);
-    simulateLazy(input, len, inner, res);
     // The fallback interpreter only scans the prefix the lazy half
     // consumed; if its guard poll truncates even earlier, the merged
     // result shrinks to the shorter prefix.

@@ -1,13 +1,13 @@
 /**
  * @file
- * LazyDfaEngine: an RE2-style lazy-DFA executor with a bounded
- * transition cache.
+ * The lazy DFA: an RE2-style lazy-DFA executor with a bounded
+ * transition cache, split into a compiled half and a cache.
  *
  * MultiDfaEngine realises the paper's compiled-CPU speedup only for
  * components that fully determinize inside a state budget; everything
  * else — exactly the large-active-set benchmarks the paper uses to
  * motivate spatial architectures — used to drop to the enabled-set
- * interpreter. This engine closes that gap the way RE2 and modern
+ * interpreter. The lazy DFA closes that gap the way RE2 and modern
  * Hyperscan hybrids do: subset construction runs *on the fly* during
  * simulation, memoizing (state-set, symbol-class) -> next state-set
  * transitions in a cache with a configurable byte budget. Hot input
@@ -16,10 +16,21 @@
  * distinct state-sets) trigger whole-cache flushes and degrade
  * gracefully to interpretation speed instead of exploding memory.
  *
- * Counter components cannot be determinized (counter values are not
- * part of the subset state), so they are split off at construction
- * and interpreted by an embedded NfaEngine, mirroring how hybrid
- * engines mix DFA and NFA subsystems.
+ * It has the compile-then-execute split of NfaEngine and
+ * EngineScratch. LazyDfaTables, the compiled half (activation CSR,
+ * labels, symbol classes, start set of a counter-free element set),
+ * is immutable and shared: a CompiledPlan holds its lazy group's.
+ * LazyDfaCache, the executor's half, is the transition cache and a
+ * cursor, the current DFA state id; resume() runs the one lazy
+ * per-symbol loop from the cursor, so a stream may be fed in any
+ * chunks, and since a flush re-interns the cursor in place, neither
+ * reports nor the flush/state trajectory depend on the chunking.
+ *
+ * LazyDfaEngine is the standalone block engine: its own tables, one
+ * cache (simulate() is one resume() over the input), and an embedded
+ * NfaEngine for the counter components, which cannot be determinized
+ * (counter values are not part of the subset state) — mirroring how
+ * hybrid engines mix DFA and NFA subsystems.
  *
  * Determinism: results are bit-identical to NfaEngine's on every
  * semantic field — reports carry the original element ids and appear
@@ -28,10 +39,9 @@
  * reportCount, totalEnabled, reportingCycles, and byCode are exact,
  * not approximations.
  *
- * Unlike NfaEngine, simulate() mutates the engine (the transition
- * cache warms up and persists across calls), so an engine must not be
- * shared by concurrently simulating threads; ParallelRunner builds
- * one per worker slot instead.
+ * A cache (and so a LazyDfaEngine) must not be shared by concurrently
+ * running threads; ParallelRunner builds one engine per worker slot,
+ * and every PlannedSession owns a cache over its plan's tables.
  */
 
 #ifndef AZOO_ENGINE_LAZY_DFA_ENGINE_HH
@@ -66,12 +76,145 @@ struct LazyDfaOptions {
     size_t cacheBytes = 8u << 20;
 };
 
-/** Lazy-DFA hybrid engine over a borrowed automaton. */
+/** The compiled, immutable half of a lazy DFA over a counter-free
+ *  set of elements. */
+struct LazyDfaTables {
+    /** Compile the elements @p members (ascending ids) of @p a. They
+     *  must be counter-free and closed under activation edges (whole
+     *  components). Reports carry ids of @p a; the automaton is not
+     *  referenced afterwards. */
+    LazyDfaTables(const Automaton &a, const std::vector<ElementId> &members);
+
+    size_t elements() const { return globalId.size(); }
+
+    /** Resident bytes of the tables. */
+    size_t footprintBytes() const;
+
+    /** local id -> element id in the compiled automaton (ascending). */
+    std::vector<ElementId> globalId;
+    /** CSR over activation edges, all-input targets pre-filtered
+     *  (they are permanently enabled and never join a state-set). */
+    std::vector<uint32_t> edgeBegin;
+    std::vector<uint32_t> edgeTarget;
+    std::vector<std::array<uint64_t, 4>> label;
+    std::vector<uint8_t> reporting;
+    std::vector<uint32_t> reportCode;
+    /** Per input byte, the all-input local ids whose label matches. */
+    std::array<std::vector<uint32_t>, 256> matchingAllInput;
+    /** Start-of-data local ids, sorted: the cycle-0 state-set. */
+    std::vector<uint32_t> start0;
+
+    /** Byte -> symbol equivalence class (bytes indistinguishable to
+     *  every lazy charset share a class, and so a transition row). */
+    std::array<uint8_t, 256> classOf{};
+    uint32_t numClasses = 1;
+    /** One representative byte per class. */
+    std::vector<uint8_t> classRep;
+};
+
+/**
+ * An executor's half of a lazy DFA: a bounded transition cache over
+ * borrowed tables (which must outlive it), and the cursor. The cache
+ * stays warm across restart() — it is worth keeping across the
+ * streams one executor runs — and is flushed only by its budget.
+ */
+class LazyDfaCache
+{
+  public:
+    LazyDfaCache(const LazyDfaTables &tables, size_t cacheBytes);
+
+    /** Put the cursor on the start state-set (start of a stream). */
+    void restart() { cur_ = kUnknown; }
+
+    /**
+     * Run stream offsets [from, to) from the cursor; bytes[0] is
+     * offset @p from. Reports (element ids of the compiled automaton)
+     * and the active set are tallied into @p res under @p opts; every
+     * report list of one transition is one offset, so the
+     * reporting-cycle tally needs no carried state. opts.guard (may
+     * be null) is polled before every offset that is a multiple of
+     * kGuardCheckIntervalSymbols; returns the offset reached: @p to,
+     * or the poll point where the guard stopped the run
+     * (res.guardStatus then says why).
+     */
+    uint64_t resume(uint64_t from, uint64_t to, const uint8_t *bytes,
+                    const SimOptions &opts, SimResult &res);
+
+    /** Add the hits, misses and flushes since the last call, and
+     *  @p symbols, to the engine.lazy.* obs counters (one run). */
+    void noteRun(uint64_t symbols);
+
+    /** Whole-cache flushes since construction (cumulative). */
+    uint64_t flushes() const { return flushes_; }
+    /** State-sets currently interned. */
+    uint64_t states() const { return members_.size(); }
+    /** Computed (state, class) transition cells currently cached. */
+    uint64_t transitions() const { return cachedTransitions_; }
+    /** Current accounted cache footprint in bytes. */
+    uint64_t bytesUsed() const { return bytesUsed_; }
+
+    /** Resident bytes of the cache and its scratch. */
+    size_t footprintBytes() const;
+
+  private:
+    static constexpr uint32_t kUnknown = ~uint32_t(0);
+
+    /** Intern a sorted local-id set; returns its state id. */
+    uint32_t intern(const std::vector<uint32_t> &set);
+
+    /** Intern a sorted (element, code) report list; 0 = empty. */
+    uint32_t internReports(
+        const std::vector<std::pair<ElementId, uint32_t>> &reps);
+
+    /** Drop every interned state/transition/report list. */
+    void flushCache();
+
+    /** Compute + cache the transition for (cur, cls); may flush the
+     *  cache, in which case @p cur is re-interned in place. Returns
+     *  the cell index of the now-filled transition. */
+    size_t fillCell(uint32_t &cur, uint32_t cls);
+
+    const LazyDfaTables &t_;
+    size_t budget_;
+    /** The current state id; kUnknown = the start state-set. */
+    uint32_t cur_ = kUnknown;
+
+    /** members_[sid] = sorted local-id set of DFA state sid. */
+    std::vector<std::vector<uint32_t>> members_;
+    /** next_[sid * numClasses + cls]; kUnknown = not yet computed. */
+    std::vector<uint32_t> next_;
+    /** reportIdx_ parallel to next_; index into pool_ (0 = none). */
+    std::vector<uint32_t> reportIdx_;
+    /** Report lists, entries sorted by (element, code); pool_[0] is
+     *  the empty list. */
+    std::vector<std::vector<std::pair<ElementId, uint32_t>>> pool_;
+    std::map<std::vector<std::pair<ElementId, uint32_t>>, uint32_t>
+        poolIds_;
+    /** FNV hash of members -> state ids with that hash. */
+    std::unordered_map<uint64_t, std::vector<uint32_t>> buckets_;
+    uint64_t bytesUsed_ = 0;
+    uint64_t flushes_ = 0;
+    uint64_t cachedTransitions_ = 0;
+
+    /** obs tallies not yet flushed by noteRun(). */
+    uint64_t hits_ = 0, misses_ = 0, notedFlushes_ = 0;
+
+    // Scratch for transition computation (reused).
+    std::vector<uint8_t> inNext_;
+    std::vector<uint32_t> succScratch_;
+    std::vector<std::pair<ElementId, uint32_t>> repScratch_;
+};
+
+/** Standalone lazy-DFA hybrid engine over one automaton. */
 class LazyDfaEngine
 {
   public:
+    /** Compile @p a (not referenced after construction). */
     explicit LazyDfaEngine(const Automaton &a,
                            const LazyDfaOptions &opts = LazyDfaOptions());
+    // cache_ refers to tables_: an engine must stay where it was built.
+    LazyDfaEngine(const LazyDfaEngine &) = delete;
+    LazyDfaEngine &operator=(const LazyDfaEngine &) = delete;
 
     /**
      * Run over @p input. Mutates the transition cache (and therefore
@@ -89,107 +232,34 @@ class LazyDfaEngine
     }
 
     /** Elements on the lazy-DFA path (counter-free components). */
-    size_t lazyElements() const { return globalId_.size(); }
+    size_t lazyElements() const { return tables_.elements(); }
 
     /** Components interpreted by the NFA fallback (counters). */
     size_t fallbackComponents() const { return fallbackComponentCount_; }
 
-    /** Whole-cache flushes since construction (cumulative). */
-    uint64_t cacheFlushes() const { return flushes_; }
-
-    /** State-sets currently interned in the cache. */
-    uint64_t cachedStates() const { return members_.size(); }
-
-    /** Computed (state, class) transition cells currently cached. */
-    uint64_t cachedTransitions() const { return cachedTransitions_; }
-
-    /** Current accounted cache footprint in bytes. */
-    uint64_t cacheBytesUsed() const { return bytesUsed_; }
+    // The cache's counters (see LazyDfaCache).
+    uint64_t cacheFlushes() const { return cache_.flushes(); }
+    uint64_t cachedStates() const { return cache_.states(); }
+    uint64_t cachedTransitions() const { return cache_.transitions(); }
+    uint64_t cacheBytesUsed() const { return cache_.bytesUsed(); }
 
     /** Input-symbol equivalence classes over the lazy partition. */
-    uint32_t symbolClasses() const { return numClasses_; }
+    uint32_t symbolClasses() const { return tables_.numClasses; }
 
   private:
-    static constexpr uint32_t kUnknown = ~uint32_t(0);
+    /** The counter-free elements of @p a; counts the counter
+     *  components into fallbackComponentCount_ and compiles them into
+     *  the fallback. */
+    std::vector<ElementId> splitCounters(const Automaton &a);
 
-    void buildLazyPart(const std::vector<ElementId> &members);
-
-    /** Intern a sorted local-id set; returns its state id. */
-    uint32_t intern(const std::vector<uint32_t> &set);
-
-    /** Intern a sorted (element, code) report list; 0 = empty. */
-    uint32_t internReports(
-        const std::vector<std::pair<ElementId, uint32_t>> &reps);
-
-    /** Drop every interned state/transition/report list. */
-    void flushCache();
-
-    /** Compute + cache the transition for (cur, cls); may flush the
-     *  cache, in which case @p cur is re-interned in place. Returns
-     *  the cell index of the now-filled transition. */
-    size_t fillCell(uint32_t &cur, uint32_t cls);
-
-    /** Pure-lazy simulation (no counter fallback), streaming stats. */
-    void simulateLazy(const uint8_t *input, size_t len,
-                      const SimOptions &opts, SimResult &res);
-
-    // ---- compiled lazy partition (immutable after construction) ----
-    /** Borrowed: the caller guarantees the automaton outlives the
-     *  engine (in the serve path, via a RulesetGeneration pin). */
-    const Automaton &a_;
-    LazyDfaOptions opts_;
-
-    /** local id -> original element id (ascending). */
-    std::vector<ElementId> globalId_;
-    /** CSR over activation edges, all-input targets pre-filtered
-     *  (they are permanently enabled and never join a state-set). */
-    std::vector<uint32_t> edgeBegin_;
-    std::vector<uint32_t> edgeTarget_;
-    std::vector<std::array<uint64_t, 4>> label_;
-    std::vector<uint8_t> reporting_;
-    std::vector<uint32_t> reportCode_;
-    /** Per input byte, the all-input local ids whose label matches. */
-    std::array<std::vector<uint32_t>, 256> matchingAllInput_;
-    /** Start-of-data local ids, sorted: the cycle-0 state-set. */
-    std::vector<uint32_t> start0_;
-
-    /** Byte -> symbol equivalence class (bytes indistinguishable to
-     *  every lazy charset share a class, and so a transition row). */
-    std::array<uint8_t, 256> classOf_{};
-    uint32_t numClasses_ = 1;
-    /** One representative byte per class. */
-    std::vector<uint8_t> classRep_;
-
-    // ---- bounded transition cache (mutated by simulate()) ----
-    /** members_[sid] = sorted local-id set of DFA state sid. */
-    std::vector<std::vector<uint32_t>> members_;
-    /** next_[sid * numClasses_ + cls]; kUnknown = not yet computed. */
-    std::vector<uint32_t> next_;
-    /** reportIdx_ parallel to next_; index into pool_ (0 = none). */
-    std::vector<uint32_t> reportIdx_;
-    /** Report lists, entries sorted by (element, code); pool_[0] is
-     *  the empty list. */
-    std::vector<std::vector<std::pair<ElementId, uint32_t>>> pool_;
-    std::map<std::vector<std::pair<ElementId, uint32_t>>, uint32_t>
-        poolIds_;
-    /** FNV hash of members -> state ids with that hash. */
-    std::unordered_map<uint64_t, std::vector<uint32_t>> buckets_;
-    uint64_t bytesUsed_ = 0;
-    uint64_t flushes_ = 0;
-    uint64_t cachedTransitions_ = 0;
-    /** Cached start-state id (re-interned after each flush). */
-    uint32_t startState_ = kUnknown;
-
-    // Scratch for transition computation (per-engine, reused).
-    std::vector<uint8_t> inNext_;
-    std::vector<uint32_t> succScratch_;
-    std::vector<std::pair<ElementId, uint32_t>> repScratch_;
-
-    // ---- counter fallback ----
+    // ---- counter fallback (built first: it picks the lazy members) --
     std::unique_ptr<NfaEngine> fallbackEngine_;
     std::vector<ElementId> fallbackToGlobal_;
     size_t fallbackComponentCount_ = 0;
     EngineScratch fallbackScratch_;
+
+    const LazyDfaTables tables_;
+    LazyDfaCache cache_;
 };
 
 } // namespace azoo

@@ -14,7 +14,7 @@ namespace azoo {
 
 MultiDfaEngine::MultiDfaEngine(const Automaton &a,
                                const MultiDfaOptions &opts)
-    : a_(a), opts_(opts)
+    : opts_(opts)
 {
     const ComponentPartition parts(a);
     const uint32_t comp_count = parts.count();
@@ -55,7 +55,7 @@ MultiDfaEngine::MultiDfaEngine(const Automaton &a,
             ++profileSkips;
         Dfa dfa;
         if (!has_counter && !predicted_blowup &&
-            buildDfa(members[c], dfa)) {
+            buildDfa(a, members[c], dfa)) {
             dfas_.push_back(std::move(dfa));
         } else {
             fallbackGroup[c] = 0;
@@ -71,17 +71,16 @@ MultiDfaEngine::MultiDfaEngine(const Automaton &a,
     if (fallbackComponentCount_) {
         ComponentPartition::Group fb =
             std::move(parts.split(fallbackGroup, 1)[0]);
-        fallback_ = std::make_unique<Automaton>(std::move(fb.sub));
         fallbackToGlobal_ = std::move(fb.toGlobal);
         LazyDfaOptions lazy_opts;
         lazy_opts.cacheBytes = opts_.lazyCacheBytes;
-        fallbackEngine_ =
-            std::make_unique<LazyDfaEngine>(*fallback_, lazy_opts);
+        fallbackEngine_ = std::make_unique<LazyDfaEngine>(fb.sub, lazy_opts);
     }
 }
 
 bool
-MultiDfaEngine::buildDfa(const std::vector<ElementId> &members,
+MultiDfaEngine::buildDfa(const Automaton &a,
+                         const std::vector<ElementId> &members,
                          Dfa &dfa) const
 {
     const auto m = static_cast<uint32_t>(members.size());
@@ -99,7 +98,7 @@ MultiDfaEngine::buildDfa(const std::vector<ElementId> &members,
     std::vector<uint32_t> always_local; // all-input states
     std::vector<uint32_t> start0;       // enabled at cycle 0
     for (uint32_t i = 0; i < m; ++i) {
-        const Element &e = a_.element(members[i]);
+        const Element &e = a.element(members[i]);
         sym[i] = &e.symbols;
         reporting[i] = e.reporting;
         out[i].reserve(e.out.size());
@@ -202,7 +201,7 @@ MultiDfaEngine::buildDfa(const std::vector<ElementId> &members,
                     continue;
                 if (reporting[ls]) {
                     reps.emplace_back(members[ls],
-                                      a_.element(members[ls]).reportCode);
+                                      a.element(members[ls]).reportCode);
                 }
                 for (auto t : out[ls]) {
                     if (!in_next[t]) {

@@ -56,7 +56,8 @@ struct MultiDfaOptions {
     const std::vector<analysis::ComponentProfile> *profiles = nullptr;
 };
 
-/** Compiled multi-DFA engine over a borrowed automaton. */
+/** Compiled multi-DFA engine (the automaton is not referenced after
+ *  construction). */
 class MultiDfaEngine
 {
   public:
@@ -116,16 +117,13 @@ class MultiDfaEngine
 
     /** Attempt subset construction of one component.
      *  @return true on success (dfa filled in). */
-    bool buildDfa(const std::vector<ElementId> &members, Dfa &dfa) const;
+    bool buildDfa(const Automaton &a, const std::vector<ElementId> &members,
+                  Dfa &dfa) const;
 
-    /** Borrowed: the caller guarantees the automaton outlives the
-     *  engine (in the serve path, via a RulesetGeneration pin). */
-    const Automaton &a_;
     MultiDfaOptions opts_;
     std::vector<Dfa> dfas_;
 
-    /** Sub-automaton holding all fallback components. */
-    std::unique_ptr<Automaton> fallback_;
+    /** Lazy DFA over all fallback components. */
     std::unique_ptr<LazyDfaEngine> fallbackEngine_;
     /** fallback-local element id -> original element id. */
     std::vector<ElementId> fallbackToGlobal_;

@@ -13,14 +13,16 @@ namespace azoo {
 
 namespace {
 
-/** Feed @p in through @p sess in chunks of @p chunk bytes, stopping at
- *  a short feed (the guard stopped the session; further chunks would
- *  be refused). */
+/** Feed @p in through @p sess in chunks of @p chunk bytes (0 = one
+ *  feed), stopping at a short feed (the guard stopped the session;
+ *  further chunks would be refused). */
 template <typename Session>
 SimResult
 feedChunks(Session &&sess, const SimOptions &opts,
            const std::vector<uint8_t> &in, size_t chunk)
 {
+    if (chunk == 0)
+        chunk = in.size();
     sess.options = opts;
     for (size_t pos = 0; pos < in.size();) {
         const size_t want = std::min(chunk, in.size() - pos);
@@ -35,29 +37,31 @@ feedChunks(Session &&sess, const SimOptions &opts,
 } // namespace
 
 ParallelRunner::ParallelRunner(const Automaton &a, ParallelOptions opts)
-    : a_(a), opts_(std::move(opts)),
-      engine_(std::make_shared<const NfaEngine>(a))
+    : opts_(std::move(opts))
 {
     const size_t threads =
         opts_.threads ? opts_.threads : ThreadPool::hardwareThreads();
     pool_ = std::make_unique<ThreadPool>(threads);
-    slotScratch_.resize(pool_->size());
-    if (opts_.engine == ParallelEngine::kLazyDfa) {
+    // Only what the configured engine drives is built.
+    if (opts_.engine == ParallelEngine::kNfa) {
+        engine_ = std::make_shared<const NfaEngine>(a);
+        slotScratch_.resize(pool_->size());
+    } else if (opts_.engine == ParallelEngine::kLazyDfa) {
         LazyDfaOptions lo;
         lo.cacheBytes = opts_.lazyCacheBytes;
         slotLazy_.resize(pool_->size());
         for (auto &e : slotLazy_)
-            e = std::make_unique<LazyDfaEngine>(a_, lo);
-    } else if (opts_.engine == ParallelEngine::kPlanned) {
-        // One compile; slots and chunked streams execute it.
-        plan_ = std::make_shared<const CompiledPlan>(
-            a_, analysis::inferProfiles(a_, opts_.plan.infer),
+            e = std::make_unique<LazyDfaEngine>(a, lo);
+    } else {
+        // One compile; every slot's session executes it.
+        const auto plan = std::make_shared<const CompiledPlan>(
+            a, analysis::inferProfiles(a, opts_.plan.infer),
             opts_.plan);
-        slotPlanned_.resize(pool_->size());
-        for (auto &e : slotPlanned_)
-            e = std::make_unique<PlannedEngine>(plan_);
+        slotSessions_.reserve(pool_->size());
+        for (size_t s = 0; s < pool_->size(); ++s)
+            slotSessions_.emplace_back(plan);
     }
-    buildShards(threads);
+    buildShards(a, threads);
 }
 
 ParallelRunner::~ParallelRunner() = default;
@@ -69,15 +73,15 @@ ParallelRunner::threads() const
 }
 
 void
-ParallelRunner::buildShards(size_t groups)
+ParallelRunner::buildShards(const Automaton &a, size_t groups)
 {
-    if (a_.size() == 0)
+    if (a.size() == 0)
         return;
 
     // LPT over components (activation *and* reset edges, so a counter
     // stays in the shard of everything that counts or resets it):
     // biggest component first into the currently lightest shard.
-    const ComponentPartition parts(a_);
+    const ComponentPartition parts(a);
     const std::vector<uint64_t> compSize = parts.sizes();
     const size_t g = std::min<size_t>(groups, parts.count());
     std::vector<uint32_t> order(parts.count());
@@ -99,18 +103,18 @@ ParallelRunner::buildShards(size_t groups)
     shards_.resize(g);
     for (size_t s = 0; s < g; ++s) {
         Shard &sh = shards_[s];
-        sh.sub = std::move(cut[s].sub);
-        sh.sub.setName(a_.name() + "/shard" + std::to_string(s));
+        const Automaton &sub = cut[s].sub;
         sh.origId = std::move(cut[s].toGlobal);
-        sh.engine = std::make_unique<NfaEngine>(sh.sub);
         if (opts_.engine == ParallelEngine::kLazyDfa) {
             LazyDfaOptions lo;
             lo.cacheBytes = opts_.lazyCacheBytes;
-            sh.lazy = std::make_unique<LazyDfaEngine>(sh.sub, lo);
+            sh.lazy = std::make_unique<LazyDfaEngine>(sub, lo);
         } else if (opts_.engine == ParallelEngine::kPlanned) {
             // Profiles are per-automaton, so each shard infers its
             // own over its sub-automaton (construction-time only).
-            sh.planned = std::make_unique<PlannedEngine>(sh.sub, opts_.plan);
+            sh.planned = std::make_unique<PlannedEngine>(sub, opts_.plan);
+        } else {
+            sh.engine = std::make_unique<NfaEngine>(sub);
         }
     }
     if (obs::kEnabled) {
@@ -118,7 +122,7 @@ ParallelRunner::buildShards(size_t groups)
         obs::Histogram &h =
             obs::Registry::global().histogram("runner.shard.states");
         for (const Shard &sh : shards_)
-            h.record(sh.sub.size());
+            h.record(sh.origId.size());
     }
 }
 
@@ -131,14 +135,15 @@ ParallelRunner::runBatch(
     out.perStreamStatus.resize(streams.size());
     if (opts_.chunkBytes != 0 &&
         opts_.engine == ParallelEngine::kLazyDfa) {
-        // Chunked feeding runs on StreamingSession, which is an
-        // interpreter; the lazy-DFA engine has no incremental API.
-        // Fail every stream loudly instead of silently simulating on
-        // a different engine than the caller configured.
+        // Chunked feeding needs a session, and the lazy-DFA engine's
+        // counter fallback has no streaming form. Fail every stream
+        // loudly instead of silently simulating on a different engine
+        // than the caller configured.
         const Status st(
             ErrorCode::kInvalidArgument,
-            "chunkBytes requires ParallelEngine::kNfa (the lazy-DFA "
-            "engine has no streaming API)");
+            "chunkBytes requires ParallelEngine::kNfa or kPlanned (the "
+            "lazy-DFA engine's counter fallback has no streaming "
+            "form)");
         for (size_t i = 0; i < streams.size(); ++i)
             out.perStreamStatus[i] = st;
         out.failedStreams = streams.size();
@@ -157,19 +162,17 @@ ParallelRunner::runBatch(
                            cat("stream ", i,
                                ": worker allocation failed")));
             }
-            if (opts_.chunkBytes != 0) {
-                // Sessions over the shared compile: per-stream state
-                // only.
+            if (opts_.engine == ParallelEngine::kPlanned) {
+                // The slot's session, over the shared compile; its
+                // lazy cache stays warm across the slot's streams.
+                PlannedSession &sess = slotSessions_[slot];
+                sess.reset();
+                out.perStream[i] = feedChunks(sess, opts_.sim, streams[i],
+                                              opts_.chunkBytes);
+            } else if (opts_.chunkBytes != 0) {
                 out.perStream[i] =
-                    opts_.engine == ParallelEngine::kPlanned
-                    ? feedChunks(PlannedSession(plan_), opts_.sim,
-                                 streams[i], opts_.chunkBytes)
-                    : feedChunks(StreamingSession(engine_), opts_.sim,
-                                 streams[i], opts_.chunkBytes);
-            } else if (opts_.engine == ParallelEngine::kPlanned) {
-                out.perStream[i] =
-                    slotPlanned_[slot]->simulate(streams[i],
-                                                 opts_.sim);
+                    feedChunks(StreamingSession(engine_), opts_.sim,
+                               streams[i], opts_.chunkBytes);
             } else if (opts_.engine == ParallelEngine::kLazyDfa) {
                 out.perStream[i] =
                     slotLazy_[slot]->simulate(streams[i], opts_.sim);

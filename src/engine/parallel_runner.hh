@@ -10,11 +10,11 @@
  *    streams (packets, disk-image chunks, DNA reads) fans out across
  *    the pool. All workers share one const NfaEngine (or, under
  *    ParallelEngine::kPlanned, one CompiledPlan); each worker slot
- *    owns an EngineScratch (and a private LazyDfaEngine or
- *    PlannedEngine whose lazy cache warms across that slot's
- *    streams), so the hot path performs no per-stream O(n)
- *    allocation. Chunked mode gives each stream a StreamingSession
- *    (or PlannedSession) over the same shared compile.
+ *    owns an EngineScratch (or a private LazyDfaEngine, or a
+ *    PlannedSession whose lazy cache warms across that slot's
+ *    streams, monolithic or chunked), so the hot path performs no
+ *    per-stream O(n) allocation. Chunked kNfa streams each get a
+ *    StreamingSession over the shared engine.
  *
  *  - **Component-level** (simulateSharded): the automaton's connected
  *    components (activation *and* reset edges, so counters never
@@ -64,10 +64,10 @@ struct ParallelOptions {
      *  chunks of this many bytes (0 = one monolithic simulate()).
      *  Chunking never changes results; it exists to exercise and
      *  measure the streaming path under parallelism. Chunked feeding
-     *  runs on StreamingSession (an interpreter); combining it with
-     *  ParallelEngine::kLazyDfa is rejected — runBatch() marks every
-     *  stream kInvalidArgument rather than silently substituting a
-     *  different engine. */
+     *  runs on a StreamingSession (kNfa) or PlannedSession (kPlanned);
+     *  combining it with ParallelEngine::kLazyDfa is rejected —
+     *  runBatch() marks every stream kInvalidArgument rather than
+     *  silently substituting a different engine. */
     size_t chunkBytes = 0;
     /** Engine for monolithic streams and component shards. */
     ParallelEngine engine = ParallelEngine::kNfa;
@@ -75,9 +75,8 @@ struct ParallelOptions {
      *  worker slot / shard owns a private cache of this size. */
     size_t lazyCacheBytes = 8u << 20;
     /** Planning knobs (engine == kPlanned). One CompiledPlan is
-     *  shared by every worker slot's PlannedEngine and by the
-     *  chunked streams' PlannedSessions; each shard compiles its
-     *  own. */
+     *  shared by every worker slot's PlannedSession; each shard
+     *  compiles its own. */
     PlanOptions plan;
     /** Per-stream simulation options. */
     SimOptions sim;
@@ -102,12 +101,12 @@ struct BatchResult {
 };
 
 /**
- * Parallel driver over a borrowed automaton.
- *
- * The automaton must outlive the runner (same borrow rule as the
- * engines). Construction compiles one whole-automaton NfaEngine (or
- * CompiledPlan) for batch mode and one engine per component shard
- * (cut by ComponentPartition) for sharded mode;
+ * Parallel runner over one automaton, which need only outlive
+ * construction. Construction builds only what the configured engine
+ * drives: for batch mode one whole-automaton NfaEngine (kNfa), one
+ * LazyDfaEngine per worker slot (kLazyDfa) or one CompiledPlan
+ * (kPlanned); for sharded mode one engine of that kind per component
+ * shard (cut by ComponentPartition);
  * runBatch()/simulateSharded() can then be called repeatedly (but not
  * concurrently with each other from multiple threads — the runner
  * owns one pool).
@@ -143,9 +142,9 @@ class ParallelRunner
 
   private:
     struct Shard {
-        Automaton sub;
-        /** Shard-local element id -> id in the borrowed automaton. */
+        /** Shard-local element id -> id in the runner's automaton. */
         std::vector<ElementId> origId;
+        /** Engine for ParallelEngine::kNfa (else nullptr). */
         std::unique_ptr<NfaEngine> engine;
         /** Engine for ParallelEngine::kLazyDfa (else nullptr). */
         std::unique_ptr<LazyDfaEngine> lazy;
@@ -156,27 +155,21 @@ class ParallelRunner
         mutable EngineScratch scratch;
     };
 
-    void buildShards(size_t groups);
+    void buildShards(const Automaton &a, size_t groups);
 
-    /** Borrowed: the caller guarantees the automaton outlives the
-     *  runner (in the serve path, via a RulesetGeneration pin). */
-    const Automaton &a_;
     ParallelOptions opts_;
     std::unique_ptr<ThreadPool> pool_;
-    /** Shared by batch slots and chunked streams. */
+    /** kNfa: shared by batch slots and chunked streams. */
     std::shared_ptr<const NfaEngine> engine_;
     std::vector<Shard> shards_;
 
     // Per-worker-slot mutable state for runBatch: the slot-indexed
-    // parallelFor guarantees exclusive slot ownership, so scratches
-    // and lazy caches are reused lock-free across streams.
+    // parallelFor guarantees exclusive slot ownership, so scratches,
+    // sessions and lazy caches are reused lock-free across streams.
     mutable std::vector<EngineScratch> slotScratch_;
     mutable std::vector<std::unique_ptr<LazyDfaEngine>> slotLazy_;
-    mutable std::vector<std::unique_ptr<PlannedEngine>> slotPlanned_;
-    /** The one compiled plan for kPlanned: every slot's
-     *  PlannedEngine and every chunked stream's PlannedSession
-     *  executes it. */
-    std::shared_ptr<const CompiledPlan> plan_;
+    /** kPlanned: one session per slot, all over one CompiledPlan. */
+    mutable std::vector<PlannedSession> slotSessions_;
 };
 
 } // namespace azoo

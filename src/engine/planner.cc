@@ -62,6 +62,12 @@ EnginePlan::census() const
 
 namespace {
 
+/** Shortest mandatory literal worth scanning for. */
+constexpr size_t kMinScanLiteral = 4;
+/** Scan-literal length cap (longer factors are truncated; the verify
+ *  step inside the window restores exactness). */
+constexpr size_t kMaxScanLiteral = 8;
+
 /** Per-component "has a start-of-data member" bits; the prefilter
  *  window replay is only exact for pure all-input-start components
  *  (an SoD start matches at offset 0 only, which a window opened
@@ -92,17 +98,16 @@ decide(const analysis::ComponentProfile &p, bool hasSod,
         // Cycles on accepting paths (dot-star gaps) are absorbing:
         // once active they stay active, so the lazy DFA's state-sets
         // converge to a small hot set regardless of the static blowup
-        // estimate.
-        return p.blowupLog2 <= opts.maxLazyBlowupLog2
-            ? PlanBackend::kLazyDfa
-            : PlanBackend::kInterpreter;
+        // estimate — as long as the plan gives executors a cache.
+        return opts.lazyCacheBytes > 0 ? PlanBackend::kLazyDfa
+                                       : PlanBackend::kInterpreter;
     }
     // Acyclic, counter-free from here on.
     if (p.anchored && p.maxActivationDepth != analysis::kUnboundedLen)
         return PlanBackend::kAnchoredPrefix;
     if (opts.enablePrefilter &&
         p.cls == ComponentClass::kLiteralChain &&
-        p.mandatoryLiteral.size() >= opts.minScanLiteral &&
+        p.mandatoryLiteral.size() >= kMinScanLiteral &&
         p.maxMatchLen != analysis::kUnboundedLen && !hasSod) {
         return PlanBackend::kPrefilter;
     }
@@ -163,47 +168,40 @@ CompiledPlan::CompiledPlan(
     // Counted here, once per compile — never per executor or session.
     notePlan(plan_);
 
-    // One split cuts a group per backend; kSkip (the last backend)
-    // components are never copied.
-    static_assert(static_cast<size_t>(PlanBackend::kSkip) ==
-                  kPlanBackends - 1);
+    // One split cuts a group per interpreted backend (group index =
+    // backend); lazy and skipped components are never copied.
     const ComponentPartition parts(a);
     std::vector<uint32_t> byBackend(parts.count(),
                                     ComponentPartition::kNoGroup);
-    std::vector<uint32_t> restOf(parts.count(),
-                                 ComponentPartition::kNoGroup);
+    std::vector<uint8_t> onLazy(parts.count(), 0);
     for (const ComponentDecision &d : plan_.decisions) {
-        if (d.backend == PlanBackend::kSkip)
-            continue;
-        byBackend[d.componentId] = static_cast<uint32_t>(d.backend);
-        if (d.backend != PlanBackend::kPrefilter)
-            restOf[d.componentId] = 0;
+        if (d.backend == PlanBackend::kLazyDfa)
+            onLazy[d.componentId] = 1;
+        else if (d.backend != PlanBackend::kSkip)
+            byBackend[d.componentId] = static_cast<uint32_t>(d.backend);
     }
     std::vector<ComponentPartition::Group> groups =
-        parts.split(byBackend, kPlanBackends - 1);
-    auto take = [&](PlanBackend b, bool compile) {
+        parts.split(byBackend, kPlanBackends);
+    auto take = [&](PlanBackend b) {
         ComponentPartition::Group &g = groups[static_cast<size_t>(b)];
         Group out;
         out.toGlobal = std::move(g.toGlobal);
-        if (out.empty())
-            return out;
-        if (compile)
+        if (!out.empty())
             out.engine = std::make_shared<const NfaEngine>(g.sub);
-        else
-            out.sub = std::move(g.sub);
         return out;
     };
 
     // Prefilter group: one scan literal + window radius per component.
-    Group pre = take(PlanBackend::kPrefilter, false);
-    if (!pre.empty()) {
+    ComponentPartition::Group &pre =
+        groups[static_cast<size_t>(PlanBackend::kPrefilter)];
+    if (!pre.toGlobal.empty()) {
         std::vector<PrefilterPattern> pats;
         for (const analysis::ComponentProfile &p : profiles) {
             if (byBackend[p.componentId] !=
                 static_cast<uint32_t>(PlanBackend::kPrefilter))
                 continue;
             PrefilterPattern pat;
-            pat.literal = p.mandatoryLiteral.substr(0, opts.maxScanLiteral);
+            pat.literal = p.mandatoryLiteral.substr(0, kMaxScanLiteral);
             // +2 slop over the exact reach so off-by-one drift in the
             // length facts can never clip a match.
             pat.radius = p.maxMatchLen + 2;
@@ -213,7 +211,7 @@ CompiledPlan::CompiledPlan(
             pre.sub, std::move(pre.toGlobal), std::move(pats));
     }
 
-    anchored_ = take(PlanBackend::kAnchoredPrefix, true);
+    anchored_ = take(PlanBackend::kAnchoredPrefix);
     for (const analysis::ComponentProfile &p : profiles) {
         if (byBackend[p.componentId] ==
             static_cast<uint32_t>(PlanBackend::kAnchoredPrefix)) {
@@ -221,26 +219,15 @@ CompiledPlan::CompiledPlan(
                 anchoredPrefix_, uint64_t(p.maxActivationDepth) + 2);
         }
     }
-    lazy_ = take(PlanBackend::kLazyDfa, false);
-    interp_ = take(PlanBackend::kInterpreter, true);
+    interp_ = take(PlanBackend::kInterpreter);
 
-    // Streaming interprets every non-prefilter group as one. When a
-    // single block group already is that group, share its tables.
-    const int restSources = int(!anchored_.empty()) +
-        int(!lazy_.empty()) + int(!interp_.empty());
-    if (restSources == 1) {
-        const Group &only = !anchored_.empty() ? anchored_
-            : !interp_.empty()                 ? interp_
-                                               : lazy_;
-        rest_.toGlobal = only.toGlobal;
-        rest_.engine = only.engine
-            ? only.engine
-            : std::make_shared<const NfaEngine>(only.sub);
-    } else if (restSources > 1) {
-        ComponentPartition::Group g = std::move(parts.split(restOf, 1)[0]);
-        rest_.engine = std::make_shared<const NfaEngine>(g.sub);
-        rest_.toGlobal = std::move(g.toGlobal);
+    std::vector<ElementId> lazyMembers;
+    for (ElementId i = 0; i < a.size(); ++i) {
+        if (onLazy[parts.of(i)])
+            lazyMembers.push_back(i);
     }
+    if (!lazyMembers.empty())
+        lazy_ = std::make_unique<const LazyDfaTables>(a, lazyMembers);
 }
 
 size_t
@@ -249,156 +236,35 @@ CompiledPlan::footprintBytes() const
     size_t n = sizeof(*this);
     if (prefilter_)
         n += prefilter_->footprintBytes();
-    for (const Group *g : {&anchored_, &lazy_, &interp_, &rest_}) {
+    if (lazy_)
+        n += lazy_->footprintBytes();
+    for (const Group *g : {&anchored_, &interp_}) {
         n += g->toGlobal.capacity() * sizeof(ElementId);
-        n += g->sub.size() * sizeof(Element);
-        for (const Element &e : g->sub.elements())
-            n += (e.out.capacity() + e.resetOut.capacity()) *
-                sizeof(ElementId);
-    }
-    // The rest group may share its engine with a block group.
-    for (const Group *g : {&anchored_, &interp_})
         if (g->engine)
             n += g->engine->footprintBytes();
-    if (rest_.engine && rest_.engine != anchored_.engine &&
-        rest_.engine != interp_.engine)
-        n += rest_.engine->footprintBytes();
+    }
     return n;
 }
 
 // ---------------------------------------------------------------------
-// PlannedEngine
-
-PlannedEngine::PlannedEngine(const Automaton &a, const PlanOptions &opts)
-    : PlannedEngine(a, analysis::inferProfiles(a, opts.infer), opts)
-{
-}
-
-PlannedEngine::PlannedEngine(
-    const Automaton &a,
-    const std::vector<analysis::ComponentProfile> &profiles,
-    const PlanOptions &opts)
-    : PlannedEngine(std::make_shared<const CompiledPlan>(a, profiles, opts))
-{
-}
-
-PlannedEngine::PlannedEngine(std::shared_ptr<const CompiledPlan> plan)
-    : plan_(std::move(plan))
-{
-    if (!plan_)
-        panic("PlannedEngine: null plan");
-    if (!plan_->lazy().empty()) {
-        LazyDfaOptions lo;
-        lo.cacheBytes = plan_->options().lazyCacheBytes;
-        lazyEngine_ = std::make_unique<LazyDfaEngine>(plan_->lazy().sub, lo);
-    }
-}
-
-SimResult
-PlannedEngine::simulate(const uint8_t *input, size_t len,
-                        const SimOptions &uopts)
-{
-    const CompiledPlan &p = *plan_;
-    const NfaEngine *interp = p.interp().engine.get();
-    const NfaEngine *anchored = p.anchored().engine.get();
-    const PrefilteredNfa *prefilter = p.prefilter();
-    lastPrefilterStats_ = PrefilterStats();
-
-    // Single-group fast path: when one backend covers every non-skip
-    // component it already runs the whole input with the serial guard
-    // contract, so delegating with the caller's options keeps
-    // counter-coupled plans at interpreter parity. Recorded reports
-    // still need the remap + canonical merge.
-    if (!prefilter && !anchored && (!interp != !lazyEngine_)) {
-        const SimOptions inner =
-            uopts.recordReports ? recordAllOptions(uopts) : uopts;
-        SimResult r = interp
-            ? interp->simulate(input, len, interpScratch_, inner)
-            : lazyEngine_->simulate(input, len, inner);
-        if (!uopts.recordReports)
-            return r;
-        std::vector<Report> reports;
-        appendGlobal(reports, r.reports,
-                     interp ? p.interp().toGlobal : p.lazy().toGlobal);
-        mergeCanonical(std::move(reports), uopts, r);
-        return r;
-    }
-
-    // Backends record everything; the caller's recording options
-    // apply in the merge (same contract as simulateSharded()).
-    const SimOptions inner = recordAllOptions(uopts);
-    SimResult out;
-    out.symbols = len;
-    auto truncate = [&](uint64_t sym, const Status &st) {
-        if (sym < out.symbols || out.guardStatus.ok()) {
-            out.symbols = std::min(out.symbols, sym);
-            out.guardStatus = st;
-        }
-    };
-
-    // Poll sweep over the whole input *before* the backends run: the
-    // poll clock must tick even where every backend is absent or
-    // skipping (an all-kSkip plan still honours a symbol budget), and
-    // running it first means a budget stop truncates at the same poll
-    // point the serial engine would, while wall-clock/cancel stops
-    // mid-run are caught by the backends' own polls below.
-    if (uopts.guard) {
-        for (uint64_t t = 0; t < len;
-             t += kGuardCheckIntervalSymbols) {
-            Status st = uopts.guard->check(t);
-            if (!st.ok()) {
-                truncate(t, st);
-                break;
-            }
-        }
-    }
-
-    std::vector<Report> reports;
-    auto collect = [&](SimResult &&r, const CompiledPlan::Group &g) {
-        appendGlobal(reports, r.reports, g.toGlobal);
-        out.totalEnabled += r.totalEnabled;
-        out.lazyFlushes += r.lazyFlushes;
-        out.lazyStates += r.lazyStates;
-        out.lazyFallbackComponents += r.lazyFallbackComponents;
-        if (!r.guardStatus.ok())
-            truncate(r.symbols, r.guardStatus);
-    };
-
-    if (interp && out.symbols > 0) {
-        collect(interp->simulate(input, len, interpScratch_, inner),
-                p.interp());
-    }
-    if (lazyEngine_ && out.symbols > 0)
-        collect(lazyEngine_->simulate(input, len, inner), p.lazy());
-    if (anchored && out.symbols > 0) {
-        // Anchored components quiesce after anchoredPrefix() symbols,
-        // so a completed prefix run covers the whole input.
-        const size_t alen = static_cast<size_t>(
-            std::min<uint64_t>(len, p.anchoredPrefix()));
-        collect(anchored->simulate(input, alen, anchoredScratch_, inner),
-                p.anchored());
-    }
-    if (prefilter && out.symbols > 0) {
-        // Scans the caller's buffer in place.
-        PrefilteredNfa::RunResult rr =
-            prefilter->run(input, len, uopts.guard, prefilterScratch_);
-        reports.insert(reports.end(), rr.reports.begin(),
-                       rr.reports.end());
-        out.totalEnabled += rr.totalEnabled;
-        lastPrefilterStats_ = rr.stats;
-        if (!rr.guardStatus.ok())
-            truncate(rr.symbols, rr.guardStatus);
-    }
-
-    // Every backend's report stream is complete over the shortest
-    // consumed prefix (each ran at least that far), so the merge's
-    // clip is exact — no re-simulation, unlike simulateSharded().
-    mergeCanonical(std::move(reports), uopts, out);
-    return out;
-}
-
-// ---------------------------------------------------------------------
 // PlannedSession
+
+namespace {
+
+/** The stream of one interpreted group, or null for an empty group.
+ *  It records every report, unguarded: results() merges and caps, and
+ *  the planned session owns the poll clock. */
+std::unique_ptr<StreamingSession>
+laneFor(const CompiledPlan::Group &g)
+{
+    if (g.empty())
+        return nullptr;
+    auto lane = std::make_unique<StreamingSession>(g.engine);
+    lane->options = recordAllOptions(SimOptions());
+    return lane;
+}
+
+} // namespace
 
 PlannedSession::PlannedSession(const Automaton &a,
                                const PlanOptions &opts)
@@ -419,73 +285,100 @@ PlannedSession::PlannedSession(std::shared_ptr<const CompiledPlan> plan)
 {
     if (!plan_)
         panic("PlannedSession: null plan");
-    if (plan_->prefilter()) {
-        prefilterSession_ =
-            std::make_unique<PrefilteredNfa::Session>(*plan_->prefilter());
-    }
-    if (!plan_->rest().empty()) {
-        restSession_ =
-            std::make_unique<StreamingSession>(plan_->rest().engine);
-        // Record everything, unguarded: results() merges and caps,
-        // and feed() owns the poll clock.
-        restSession_->options = recordAllOptions(SimOptions());
+    const CompiledPlan &p = *plan_;
+    if (p.prefilter())
+        prefilter_ = std::make_unique<PrefilteredNfa::Session>(*p.prefilter());
+    anchored_ = laneFor(p.anchored());
+    interp_ = laneFor(p.interp());
+    if (p.lazy()) {
+        lazy_ = std::make_unique<LazyDfaCache>(*p.lazy(),
+                                               p.options().lazyCacheBytes);
     }
 }
 
 size_t
 PlannedSession::feed(const uint8_t *data, size_t len)
 {
-    if (!guardStatus_.ok())
+    if (stopped())
         return 0;
-    if (restSession_) {
-        restSession_->options.computeActiveSet =
-            options.computeActiveSet;
+    const uint64_t prefix = plan_->anchoredPrefix();
+    SimOptions laneOpts = recordAllOptions(SimOptions());
+    laneOpts.computeActiveSet = options.computeActiveSet;
+    for (StreamingSession *lane : {anchored_.get(), interp_.get()}) {
+        if (lane)
+            lane->options.computeActiveSet = options.computeActiveSet;
     }
     size_t done = 0;
     while (done < len) {
-        // The session owns the poll clock: both inner sessions are
-        // fed in slices that never cross a kGuardCheckIntervalSymbols
+        // The session owns the poll clock: every group is fed in
+        // slices that never cross a kGuardCheckIntervalSymbols
         // boundary of *stream* position, so truncation lands on the
-        // same poll points as the monolithic engines regardless of
-        // how callers chunk their feeds.
-        if (options.guard &&
-            t_ % kGuardCheckIntervalSymbols == 0) {
-            Status st = options.guard->check(t_);
-            if (!st.ok()) {
-                guardStatus_ = std::move(st);
-                return done;
+        // same poll points as the serial engines regardless of how
+        // callers chunk their feeds. Unguarded, a feed is one slice.
+        size_t step = len - done;
+        if (options.guard) {
+            const uint64_t phase = t_ % kGuardCheckIntervalSymbols;
+            if (phase == 0) {
+                Status st = options.guard->check(t_);
+                if (!st.ok()) {
+                    guardStatus_ = std::move(st);
+                    obs::noteGuardStop("engine.stream",
+                                       guardStatus_.code());
+                    break;
+                }
             }
+            step = static_cast<size_t>(std::min<uint64_t>(
+                step, kGuardCheckIntervalSymbols - phase));
         }
-        const uint64_t untilPoll = kGuardCheckIntervalSymbols -
-            t_ % kGuardCheckIntervalSymbols;
-        const size_t step = static_cast<size_t>(
-            std::min<uint64_t>(len - done, untilPoll));
-        if (restSession_)
-            restSession_->feed(data + done, step);
-        if (prefilterSession_)
-            prefilterSession_->feed(data + done, step);
+        const uint8_t *slice = data + done;
+        if (prefilter_)
+            prefilter_->feed(slice, step);
+        if (anchored_ && t_ < prefix) {
+            // Anchored components quiesce after the prefix.
+            anchored_->feed(slice, static_cast<size_t>(std::min<uint64_t>(
+                                       step, prefix - t_)));
+        }
+        if (lazy_)
+            lazy_->resume(t_, t_ + step, slice, laneOpts, lazyResult_);
+        if (interp_)
+            interp_->feed(slice, step);
         done += step;
         t_ += step;
     }
+    if (lazy_)
+        lazy_->noteRun(done);
     return done;
 }
 
 SimResult
 PlannedSession::results() const
 {
+    const CompiledPlan &p = *plan_;
     SimResult out;
     out.symbols = t_;
     out.guardStatus = guardStatus_;
     std::vector<Report> reports;
-    if (restSession_) {
-        const SimResult &r = restSession_->results();
-        appendGlobal(reports, r.reports, plan_->rest().toGlobal);
-        out.totalEnabled += r.totalEnabled;
+    auto collect = [&](const StreamingSession *lane,
+                       const CompiledPlan::Group &g) {
+        if (!lane)
+            return;
+        appendGlobal(reports, lane->results().reports, g.toGlobal);
+        out.totalEnabled += lane->results().totalEnabled;
+    };
+    collect(anchored_.get(), p.anchored());
+    collect(interp_.get(), p.interp());
+    if (lazy_) {
+        // The lazy tables report original element ids.
+        reports.insert(reports.end(), lazyResult_.reports.begin(),
+                       lazyResult_.reports.end());
+        out.totalEnabled += lazyResult_.totalEnabled;
+        out.lazyFlushes = lazy_->flushes() - lazyFlushes0_;
+        out.lazyStates = lazy_->states();
     }
-    if (prefilterSession_) {
-        const std::vector<Report> &pre = prefilterSession_->reports();
+    if (prefilter_) {
+        const std::vector<Report> &pre = prefilter_->reports();
         reports.insert(reports.end(), pre.begin(), pre.end());
-        out.totalEnabled += prefilterSession_->totalEnabled();
+        out.totalEnabled += prefilter_->totalEnabled();
     }
     mergeCanonical(std::move(reports), options, out);
     return out;
@@ -494,10 +387,17 @@ PlannedSession::results() const
 void
 PlannedSession::reset()
 {
-    if (prefilterSession_)
-        prefilterSession_->reset();
-    if (restSession_)
-        restSession_->reset();
+    if (prefilter_)
+        prefilter_->reset();
+    for (StreamingSession *lane : {anchored_.get(), interp_.get()}) {
+        if (lane)
+            lane->reset();
+    }
+    if (lazy_) {
+        lazy_->restart();
+        lazyResult_ = SimResult();
+        lazyFlushes0_ = lazy_->flushes();
+    }
     t_ = 0;
     guardStatus_ = Status();
 }
@@ -506,11 +406,48 @@ size_t
 PlannedSession::footprintBytes() const
 {
     size_t n = sizeof(*this);
-    if (restSession_)
-        n += restSession_->footprintBytes();
-    if (prefilterSession_)
-        n += prefilterSession_->footprintBytes();
+    for (StreamingSession *lane : {anchored_.get(), interp_.get()}) {
+        if (lane)
+            n += lane->footprintBytes();
+    }
+    if (prefilter_)
+        n += prefilter_->footprintBytes();
+    if (lazy_) {
+        n += lazy_->footprintBytes() +
+            lazyResult_.reports.capacity() * sizeof(Report);
+    }
     return n;
+}
+
+// ---------------------------------------------------------------------
+// PlannedEngine
+
+PlannedEngine::PlannedEngine(const Automaton &a, const PlanOptions &opts)
+    : PlannedEngine(a, analysis::inferProfiles(a, opts.infer), opts)
+{
+}
+
+PlannedEngine::PlannedEngine(
+    const Automaton &a,
+    const std::vector<analysis::ComponentProfile> &profiles,
+    const PlanOptions &opts)
+    : PlannedEngine(std::make_shared<const CompiledPlan>(a, profiles, opts))
+{
+}
+
+PlannedEngine::PlannedEngine(std::shared_ptr<const CompiledPlan> plan)
+    : plan_(std::move(plan)), session_(plan_)
+{
+}
+
+SimResult
+PlannedEngine::simulate(const uint8_t *input, size_t len,
+                        const SimOptions &opts)
+{
+    session_.reset();
+    session_.options = opts;
+    session_.feed(input, len);
+    return session_.results();
 }
 
 } // namespace azoo

@@ -21,18 +21,26 @@
  *
  *   reportCount == 0                  -> kSkip        (never reports)
  *   counter-coupled                   -> kInterpreter (exact counters)
- *   cyclic-unbounded, small blowup    -> kLazyDfa
- *   cyclic-unbounded, huge blowup     -> kInterpreter
+ *   cyclic-unbounded                  -> kLazyDfa
+ *                                        (kInterpreter when the plan
+ *                                        has no lazy cache budget)
  *   anchored, bounded depth           -> kAnchoredPrefix
  *   literal-chain, strong literal,
  *     bounded matches, all-input      -> kPrefilter
- *   everything else                   -> kLazyDfa
+ *   everything else                   -> kInterpreter
  *
- * Guard semantics: a planned run polls the caller's RunGuard on the
- * same kGuardCheckIntervalSymbols clock as the serial engines (every
- * backend polls, and a sweep covers skipped/absent work), and on a
- * stop all backends are reconciled to the shortest consumed prefix —
- * the same contract ParallelRunner::simulateSharded() keeps.
+ * Execution: there is one executor, PlannedSession, which feeds every
+ * chunk to the four groups in turn — prefilter, anchored (only up to
+ * the anchored prefix), lazy DFA and interpreter — each resuming its
+ * own kernel from per-session state. Block execution is a session fed
+ * once: PlannedEngine::simulate() is reset(), feed(), results().
+ *
+ * Guard semantics: the session is the only poll clock of a planned
+ * run. It polls the caller's RunGuard every kGuardCheckIntervalSymbols
+ * stream symbols (the serial engines' clock, whatever the chunking)
+ * and feeds the groups in slices that end on those poll points, so a
+ * stop truncates every group at the same prefix the serial engine
+ * would.
  */
 
 #ifndef AZOO_ENGINE_PLANNER_HH
@@ -78,19 +86,9 @@ struct PlanOptions {
     /** Allow the literal-prefilter backend (`--no-prefilter` routes
      *  literal chains to the interpreter instead). */
     bool enablePrefilter = true;
-    /** Shortest mandatory literal worth scanning for. */
-    uint32_t minScanLiteral = 4;
-    /** Scan-literal length cap (longer factors are truncated; the
-     *  verify step inside the window restores exactness). */
-    uint32_t maxScanLiteral = 8;
-    /** Cyclic components with blowupLog2 above this interpret rather
-     *  than use the lazy DFA. The estimate saturates at 32, so the
-     *  default keeps every cyclic component on the lazy DFA: gap
-     *  self-loops are absorbing, the set of state-sets actually
-     *  visited stays small, and a saturated static estimate says
-     *  nothing about the run-time working set. */
-    uint32_t maxLazyBlowupLog2 = 32;
-    /** Transition-cache budget of the lazy-DFA backend. */
+    /** Transition-cache budget of each executor's lazy DFA. 0 means
+     *  no lazy backend: cyclic components are interpreted, and an
+     *  executor carries no cache. */
     size_t lazyCacheBytes = 8u << 20;
     /** Profile-inference knobs (when the planner infers them). */
     analysis::InferOptions infer;
@@ -127,26 +125,24 @@ EnginePlan planComponents(const Automaton &a,
  * while it runs, built once and shared (through a
  * `shared_ptr<const CompiledPlan>`) by every PlannedEngine and
  * PlannedSession executing it — block and streaming alike. One
- * ComponentPartition split cuts the backend groups; each gets its
- * `toGlobal` remap and, where it is interpreted, a compiled NfaEngine.
+ * ComponentPartition split cuts the interpreted groups, each with its
+ * `toGlobal` remap and compiled NfaEngine; the lazy group compiles
+ * straight into LazyDfaTables (reports carry original ids, so it needs
+ * no remap). No automaton is kept.
  *
  * Immutable after construction and therefore safe to share across
- * threads. The one mutable backend, the lazy DFA's transition cache,
- * is not part of it: each PlannedEngine builds its own LazyDfaEngine
- * over the plan's lazy group.
+ * threads. The one mutable backend state, the lazy DFA's transition
+ * cache, is not part of it: each executor owns a LazyDfaCache over the
+ * plan's lazy tables.
  */
 class CompiledPlan
 {
   public:
-    /** One backend group of the plan. */
+    /** One interpreted backend group of the plan. */
     struct Group {
-        /** Sub-automaton (kept only where an executor borrows it: the
-         *  lazy group, for per-executor LazyDfaEngines). */
-        Automaton sub;
         /** Group-local element id -> original id (ascending). */
         std::vector<ElementId> toGlobal;
-        /** Compiled interpreter tables (null for an empty group and
-         *  for the lazy group). */
+        /** Compiled interpreter tables (null for an empty group). */
         std::shared_ptr<const NfaEngine> engine;
 
         bool empty() const { return toGlobal.empty(); }
@@ -168,19 +164,15 @@ class CompiledPlan
     /** Literal-prefilter group (null when none was planned). */
     const PrefilteredNfa *prefilter() const { return prefilter_.get(); }
     /** Anchored components, interpreted over the first
-     *  anchoredPrefix() symbols only (block mode). */
+     *  anchoredPrefix() symbols of a stream only. */
     const Group &anchored() const { return anchored_; }
     /** Input prefix after which every anchored component has
      *  quiesced. */
     uint64_t anchoredPrefix() const { return anchoredPrefix_; }
-    /** Lazy-DFA components (block mode; sub-automaton only). */
-    const Group &lazy() const { return lazy_; }
-    /** Interpreter components (block mode). */
+    /** Lazy-DFA components' compiled tables (null when none). */
+    const LazyDfaTables *lazy() const { return lazy_.get(); }
+    /** Interpreter components. */
     const Group &interp() const { return interp_; }
-    /** Streaming mode: anchored + lazy + interpreter components in
-     *  one interpreted group (the lazy DFA has no incremental API, so
-     *  streams trade its speed for interpretation). */
-    const Group &rest() const { return rest_; }
 
     /** Resident bytes of the shared compiled form, counted once per
      *  plan (sessions count only their own state). */
@@ -190,26 +182,112 @@ class CompiledPlan
     EnginePlan plan_;
     PlanOptions opts_;
     std::unique_ptr<PrefilteredNfa> prefilter_;
-    Group anchored_, lazy_, interp_, rest_;
+    Group anchored_, interp_;
+    std::unique_ptr<const LazyDfaTables> lazy_;
     uint64_t anchoredPrefix_ = 0;
 };
 
 /**
- * Block executor of a CompiledPlan: runs each group on its backend
- * over the whole input and merges the reports into a single canonical
- * SimResult.
+ * The executor of a CompiledPlan: chunked feeding with persistent
+ * state, with the same canonical results as serial NfaEngine +
+ * canonicalizeReports() for any chunking (see the file comment for
+ * the groups and the poll clock).
  *
- * simulate() mutates per-executor state (the lazy DFA's transition
- * cache, scratches), so a PlannedEngine must not be shared by
- * concurrently simulating threads — ParallelRunner gives each worker
- * slot its own, all over one shared CompiledPlan. Reports come out in
- * canonical (offset, element, code) order with original element ids.
+ * The prefilter group streams through a PrefilteredNfa::Session, the
+ * anchored and interpreter groups through StreamingSessions, and the
+ * lazy group through this session's own LazyDfaCache, whose cursor
+ * carries the DFA state across feeds. The session pins the plan and
+ * holds only its own state, so many sessions (on any threads) share
+ * one compile; the lazy cache is the only part that grows, up to the
+ * plan's lazyCacheBytes, and it stays warm across reset().
+ */
+class PlannedSession
+{
+  public:
+    /** Infer profiles and compile a private plan. */
+    explicit PlannedSession(const Automaton &a,
+                            const PlanOptions &opts = PlanOptions());
+    /** Compile a private plan from precomputed profiles. */
+    PlannedSession(const Automaton &a,
+                   const std::vector<analysis::ComponentProfile>
+                       &profiles,
+                   const PlanOptions &opts = PlanOptions());
+    /** Stream over a shared compiled plan (pinned; never null). */
+    explicit PlannedSession(std::shared_ptr<const CompiledPlan> plan);
+
+    /** Feed a chunk; returns bytes consumed (short exactly when
+     *  options.guard stopped the session). */
+    size_t feed(const uint8_t *data, size_t len);
+
+    size_t
+    feed(const std::vector<uint8_t> &data)
+    {
+        return feed(data.data(), data.size());
+    }
+
+    /** True once options.guard has stopped this session. */
+    bool stopped() const { return !guardStatus_.ok(); }
+
+    /** Merged canonical results over the consumed prefix (built on
+     *  each call; offsets are absolute stream offsets). lazyFlushes
+     *  counts the cache flushes since reset(), lazyStates the states
+     *  cached now. */
+    SimResult results() const;
+
+    uint64_t offset() const { return t_; }
+
+    /** Back to start-of-stream; results cleared, lazy cache kept. */
+    void reset();
+
+    /** Resident bytes of this session's own state: the interpreted
+     *  groups' scratch and reports, the prefilter session's scratch,
+     *  kept tail and reports, and the lazy cache. The shared plan is
+     *  counted once, by CompiledPlan::footprintBytes(). The serve
+     *  layer's admission estimate is validated against this. */
+    size_t footprintBytes() const;
+
+    const EnginePlan &plan() const { return plan_->plan(); }
+
+    const PrefilterStats &
+    prefilterStats() const
+    {
+        static const PrefilterStats kNone;
+        return prefilter_ ? prefilter_->stats() : kNone;
+    }
+
+    SimOptions options;
+
+  private:
+    std::shared_ptr<const CompiledPlan> plan_;
+    std::unique_ptr<PrefilteredNfa::Session> prefilter_;
+    std::unique_ptr<StreamingSession> anchored_, interp_;
+    std::unique_ptr<LazyDfaCache> lazy_;
+    /** The lazy group's reports and active set since reset(). */
+    SimResult lazyResult_;
+    /** lazy_->flushes() at reset(). */
+    uint64_t lazyFlushes0_ = 0;
+
+    uint64_t t_ = 0;
+    Status guardStatus_;
+};
+
+/**
+ * Block executor of a CompiledPlan: a PlannedSession fed once.
+ * simulate() is reset(), feed(input), results(), so block and
+ * streaming share one executor, one poll clock and one canonical
+ * merge; reports come out in canonical (offset, element, code) order
+ * with original element ids.
+ *
+ * simulate() mutates the session (its lazy cache warms across calls),
+ * so a PlannedEngine must not be shared by concurrently simulating
+ * threads — give each thread its own, all over one shared
+ * CompiledPlan.
  */
 class PlannedEngine
 {
   public:
     /** Infer profiles and compile a private plan. The automaton need
-     *  only outlive construction (groups are copied out). */
+     *  only outlive construction. */
     explicit PlannedEngine(const Automaton &a,
                            const PlanOptions &opts = PlanOptions());
 
@@ -246,90 +324,12 @@ class PlannedEngine
      *  zero when the plan has no prefilter group). */
     const PrefilterStats &lastPrefilterStats() const
     {
-        return lastPrefilterStats_;
+        return session_.prefilterStats();
     }
 
   private:
     std::shared_ptr<const CompiledPlan> plan_;
-    /** This executor's lazy DFA over the plan's lazy group. */
-    std::unique_ptr<LazyDfaEngine> lazyEngine_;
-    EngineScratch prefilterScratch_, anchoredScratch_, interpScratch_;
-    PrefilterStats lastPrefilterStats_;
-};
-
-/**
- * Streaming executor of a CompiledPlan: chunked feeding with
- * persistent state, same canonical results as a monolithic planned
- * run (and therefore as serial NfaEngine + canonicalizeReports()).
- *
- * The prefilter group streams through PrefilteredNfa::Session; the
- * plan's rest group streams through one StreamingSession over the
- * plan's compiled rest engine. The session holds only per-stream
- * state and pins the plan, so many sessions (on any threads) share one
- * compile. It owns the guard poll clock: options.guard is polled
- * every kGuardCheckIntervalSymbols stream symbols regardless of
- * chunking, exactly like StreamingSession.
- */
-class PlannedSession
-{
-  public:
-    /** Infer profiles and compile a private plan. */
-    explicit PlannedSession(const Automaton &a,
-                            const PlanOptions &opts = PlanOptions());
-    /** Compile a private plan from precomputed profiles. */
-    PlannedSession(const Automaton &a,
-                   const std::vector<analysis::ComponentProfile>
-                       &profiles,
-                   const PlanOptions &opts = PlanOptions());
-    /** Stream over a shared compiled plan (pinned; never null). */
-    explicit PlannedSession(std::shared_ptr<const CompiledPlan> plan);
-
-    /** Feed a chunk; returns bytes consumed (short exactly when
-     *  options.guard stopped the session). */
-    size_t feed(const uint8_t *data, size_t len);
-
-    size_t
-    feed(const std::vector<uint8_t> &data)
-    {
-        return feed(data.data(), data.size());
-    }
-
-    /** True once options.guard has stopped this session. */
-    bool stopped() const { return !guardStatus_.ok(); }
-
-    /** Merged canonical results over the consumed prefix (built on
-     *  each call; offsets are absolute stream offsets). */
-    SimResult results() const;
-
-    uint64_t offset() const { return t_; }
-
-    void reset();
-
-    /** Resident bytes of this session's own state: the rest group's
-     *  scratch and reports, and the prefilter session's scratch,
-     *  window buffer and reports. The shared plan is counted once,
-     *  by CompiledPlan::footprintBytes(). The serve layer's admission
-     *  estimate is validated against this. */
-    size_t footprintBytes() const;
-
-    const EnginePlan &plan() const { return plan_->plan(); }
-
-    const PrefilterStats &
-    prefilterStats() const
-    {
-        static const PrefilterStats kNone;
-        return prefilterSession_ ? prefilterSession_->stats() : kNone;
-    }
-
-    SimOptions options;
-
-  private:
-    std::shared_ptr<const CompiledPlan> plan_;
-    std::unique_ptr<PrefilteredNfa::Session> prefilterSession_;
-    std::unique_ptr<StreamingSession> restSession_;
-
-    uint64_t t_ = 0;
-    Status guardStatus_;
+    PlannedSession session_;
 };
 
 } // namespace azoo

@@ -140,118 +140,21 @@ PrefilteredNfa::PrefilteredNfa(const Automaton &sub,
     }
 }
 
-void
-PrefilteredNfa::openRun(Exec &x, uint64_t lo) const
-{
-    startRun(engine_.image(), *x.scratch);
-    x.active = true;
-    x.runStart = lo;
-    x.fedEnd = lo;
-    x.windowEnd = lo;
-}
-
-void
-PrefilteredNfa::closeRun(Exec &x) const
-{
-    x.scratch->endRun(static_cast<size_t>(x.fedEnd - x.runStart));
-    x.active = false;
-}
-
-void
-PrefilteredNfa::feedTo(Exec &x, uint64_t target, const uint8_t *bytes,
-                       uint64_t bytesBase) const
-{
-    if (target <= x.fedEnd)
-        return;
-    // A window run starts from an empty enabled set: no start-of-data
-    // seeding (the constructor rejects such groups), and all-input
-    // states enter through the per-byte index exactly as they would
-    // at these offsets in an unfiltered run. Guard-free: run() and
-    // the planned session own the poll clock.
-    Status unguarded;
-    interpret(engine_.image(), *x.scratch, x.runStart, x.fedEnd, target,
-              bytes, bytesBase, &x.totalEnabled, nullptr, unguarded,
-              [&](uint64_t at, ElementId id, uint32_t code) {
-                  x.reports.push_back({at, toGlobal_[id], code});
-              });
-    x.stats.windowBytes += target - x.fedEnd;
-    x.fedEnd = target;
-}
-
-void
-PrefilteredNfa::applyHit(Exec &x, uint64_t e, uint32_t pat,
-                         uint64_t avail, const uint8_t *bytes,
-                         uint64_t bytesBase) const
-{
-    ++x.stats.candidates;
-    const uint64_t lo = e >= maxRadius_ ? e - maxRadius_ : 0;
-    const uint64_t hi = e + radius_[pat] + 1; // half-open right edge
-    if (x.active && lo > x.windowEnd) {
-        // Disjoint windows: drain the old engagement, then start
-        // fresh. lo is monotone in hit order (global left reach), so
-        // no later hit can need the closed window's state.
-        feedTo(x, std::min(x.windowEnd, avail), bytes, bytesBase);
-        closeRun(x);
-    }
-    if (!x.active)
-        openRun(x, lo);
-    x.windowEnd = std::max(x.windowEnd, hi);
-}
-
-PrefilteredNfa::RunResult
-PrefilteredNfa::run(const uint8_t *input, size_t len,
-                    const RunGuard *guard, EngineScratch &scratch) const
-{
-    RunResult res;
-    res.symbols = len;
-    Exec x;
-    x.scratch = &scratch;
-
-    std::vector<std::pair<uint64_t, uint32_t>> hits;
-    uint64_t done = 0;
-    while (done < len) {
-        if (guard) {
-            Status st = guard->check(done);
-            if (!st.ok()) {
-                res.symbols = done;
-                res.guardStatus = std::move(st);
-                break;
-            }
-        }
-        const uint64_t segEnd =
-            std::min<uint64_t>(len, done + kGuardCheckIntervalSymbols);
-        hits.clear();
-        scanner_.scan(input, static_cast<size_t>(segEnd),
-                      static_cast<size_t>(done),
-                      [&](size_t end, uint32_t pi) {
-                          hits.emplace_back(end, pi);
-                      });
-        std::sort(hits.begin(), hits.end());
-        for (const auto &[e, pat] : hits)
-            applyHit(x, e, pat, segEnd, input, 0);
-        if (x.active)
-            feedTo(x, std::min(x.windowEnd, segEnd), input, 0);
-        done = segEnd;
-    }
-    if (x.active)
-        closeRun(x);
-
-    x.stats.skippedBytes = res.symbols - x.stats.windowBytes;
-    notePrefilter(x.stats.candidates, x.stats.windowBytes,
-                  x.stats.skippedBytes);
-    res.reports = std::move(x.reports);
-    res.totalEnabled = x.totalEnabled;
-    res.stats = x.stats;
-    return res;
-}
-
 // ---------------------------------------------------------------------
 // PrefilteredNfa::Session
+
+namespace {
+
+/** A feed is scanned and replayed in segments of this many bytes, so
+ *  the hit list stays bounded whatever the chunk size and a segment's
+ *  bytes are still in cache when its windows replay them. */
+constexpr size_t kSegmentBytes = 4096;
+
+} // namespace
 
 PrefilteredNfa::Session::Session(const PrefilteredNfa &pf)
     : pf_(pf)
 {
-    x_.scratch = &scratch_;
     // Size the scratch now rather than at the first candidate, so the
     // session's footprint (what admission prices) does not jump
     // mid-stream.
@@ -260,65 +163,145 @@ PrefilteredNfa::Session::Session(const PrefilteredNfa &pf)
 }
 
 void
+PrefilteredNfa::Session::openRun(uint64_t lo)
+{
+    startRun(pf_.engine_.image(), scratch_);
+    active_ = true;
+    runStart_ = lo;
+    fedEnd_ = lo;
+    windowEnd_ = lo;
+}
+
+void
+PrefilteredNfa::Session::closeRun()
+{
+    scratch_.endRun(static_cast<size_t>(fedEnd_ - runStart_));
+    active_ = false;
+}
+
+void
+PrefilteredNfa::Session::replayTo(uint64_t target, const uint8_t *data)
+{
+    if (target <= fedEnd_)
+        return;
+    // A window run starts from an empty enabled set: no start-of-data
+    // seeding (the constructor rejects such groups), and all-input
+    // states enter through the per-byte index exactly as they would
+    // at these offsets in an unfiltered run. Guard-free: the planned
+    // session owns the poll clock.
+    Status unguarded;
+    auto sink = [&](uint64_t at, ElementId id, uint32_t code) {
+        reports_.push_back({at, pf_.toGlobal_[id], code});
+    };
+    const NfaExecImage &img = pf_.engine_.image();
+    stats_.windowBytes += target - fedEnd_;
+    if (fedEnd_ < pos_) {
+        const uint64_t mid = std::min(target, pos_);
+        interpret(img, scratch_, runStart_, fedEnd_, mid, tail_.data(),
+                  tailBase_, &totalEnabled_, nullptr, unguarded, sink);
+        fedEnd_ = mid;
+    }
+    if (fedEnd_ < target) {
+        interpret(img, scratch_, runStart_, fedEnd_, target, data, pos_,
+                  &totalEnabled_, nullptr, unguarded, sink);
+    }
+    fedEnd_ = target;
+}
+
+void
+PrefilteredNfa::Session::applyHit(uint64_t e, uint32_t pat,
+                                  uint64_t avail, const uint8_t *data)
+{
+    ++stats_.candidates;
+    const uint64_t lo = e >= pf_.maxRadius_ ? e - pf_.maxRadius_ : 0;
+    const uint64_t hi = e + pf_.radius_[pat] + 1; // half-open right edge
+    if (active_ && lo > windowEnd_) {
+        // Disjoint windows: drain the old engagement, then start
+        // fresh. lo is monotone in hit order (global left reach), so
+        // no later hit can need the closed window's state.
+        replayTo(std::min(windowEnd_, avail), data);
+        closeRun();
+    }
+    if (!active_)
+        openRun(lo);
+    windowEnd_ = std::max(windowEnd_, hi);
+}
+
+void
 PrefilteredNfa::Session::feed(const uint8_t *data, size_t len)
 {
-    buf_.insert(buf_.end(), data, data + len);
-    const uint64_t avail = pos_ + len;
-
-    hits_.clear();
-    pf_.scanner_.scan(buf_.data(), buf_.size(),
-                      static_cast<size_t>(pos_ - bufBase_),
-                      [&](size_t end, uint32_t pi) {
-                          hits_.emplace_back(bufBase_ + end, pi);
-                      });
-    std::sort(hits_.begin(), hits_.end());
-    for (const auto &[e, pat] : hits_)
-        pf_.applyHit(x_, e, pat, avail, buf_.data(), bufBase_);
-    if (x_.active)
-        pf_.feedTo(x_, std::min(x_.windowEnd, avail), buf_.data(),
-                   bufBase_);
-    pos_ = avail;
-    x_.stats.skippedBytes = pos_ - x_.stats.windowBytes;
-
-    notePrefilter(x_.stats.candidates - flushedCandidates_,
-                  x_.stats.windowBytes - flushedWindowBytes_,
-                  x_.stats.skippedBytes - flushedSkipped_);
-    flushedCandidates_ = x_.stats.candidates;
-    flushedWindowBytes_ = x_.stats.windowBytes;
-    flushedSkipped_ = x_.stats.skippedBytes;
-
-    // Compact the rolling buffer. Future work only back-reads
-    //  - scanner starts >= pos_ + 1 - maxLen (straddling candidates),
-    //  - window bytes from >= min(fedEnd, pos_ - maxRadius) (an
-    //    engagement extended by a hit at e >= pos_ has lo >= pos_ -
-    //    maxRadius, and fedEnd never trails the last fed target),
-    // so keeping maxRadius + maxLen bytes behind pos_ is safe.
-    const uint64_t keep = pf_.maxRadius_ + pf_.scanner_.maxLen();
-    if (buf_.size() > 4 * keep + 4096 && pos_ - bufBase_ > keep) {
-        const size_t drop =
-            static_cast<size_t>(pos_ - keep - bufBase_);
-        buf_.erase(buf_.begin(),
-                   buf_.begin() + static_cast<ptrdiff_t>(drop));
-        bufBase_ += drop;
+    if (len == 0)
+        return;
+    const LiteralScanner &sc = pf_.scanner_;
+    for (size_t seg = 0; seg < len; seg += kSegmentBytes) {
+        const size_t segEnd = std::min(len, seg + kSegmentBytes);
+        hits_.clear();
+        sc.scan(data, segEnd, seg, [&](size_t end, uint32_t pi) {
+            hits_.emplace_back(pos_ + end, pi);
+        });
+        if (seg == 0 && !tail_.empty()) {
+            // Occurrences that start in the kept tail and end in this
+            // chunk: scan the tail with the chunk's first maxLen - 1
+            // bytes appended. The ones wholly inside those bytes were
+            // found above; unique() below drops the repeats.
+            const size_t kept = tail_.size();
+            tail_.insert(tail_.end(), data,
+                         data + std::min(len, sc.maxLen() - 1));
+            sc.scan(tail_.data(), tail_.size(), kept,
+                    [&](size_t end, uint32_t pi) {
+                        hits_.emplace_back(tailBase_ + end, pi);
+                    });
+            tail_.resize(kept);
+        }
+        std::sort(hits_.begin(), hits_.end());
+        hits_.erase(std::unique(hits_.begin(), hits_.end()), hits_.end());
+        const uint64_t avail = pos_ + segEnd;
+        for (const auto &[e, pat] : hits_)
+            applyHit(e, pat, avail, data);
+        if (active_)
+            replayTo(std::min(windowEnd_, avail), data);
     }
+    pos_ += len;
+    stats_.skippedBytes = pos_ - stats_.windowBytes;
+
+    notePrefilter(stats_.candidates - flushed_.candidates,
+                  stats_.windowBytes - flushed_.windowBytes,
+                  stats_.skippedBytes - flushed_.skippedBytes);
+    flushed_ = stats_;
+
+    // Keep the stream's last max(maxRadius, maxLen) bytes. Later
+    // feeds only read back to
+    //  - scanner starts >= pos_ + 1 - maxLen (straddling candidates),
+    //  - window bytes from >= pos_ - maxRadius (a hit at e >= pos_
+    //    opens its window at e - maxRadius, and an engagement it
+    //    extends was fed up to min(its windowEnd, pos_), which is at
+    //    least that window start).
+    const size_t keep = std::max<size_t>(pf_.maxRadius_, sc.maxLen());
+    if (len >= keep) {
+        tail_.assign(data + len - keep, data + len);
+    } else {
+        tail_.insert(tail_.end(), data, data + len);
+        if (tail_.size() > keep)
+            tail_.erase(tail_.begin(),
+                        tail_.end() - static_cast<ptrdiff_t>(keep));
+    }
+    tailBase_ = pos_ - tail_.size();
 }
 
 void
 PrefilteredNfa::Session::reset()
 {
-    if (x_.active)
-        pf_.closeRun(x_);
-    x_.runStart = x_.fedEnd = x_.windowEnd = 0;
-    x_.totalEnabled = 0;
-    x_.reports.clear();
-    x_.stats = PrefilterStats();
-    buf_.clear();
-    bufBase_ = 0;
+    if (active_)
+        closeRun();
+    runStart_ = fedEnd_ = windowEnd_ = 0;
+    totalEnabled_ = 0;
+    reports_.clear();
+    stats_ = PrefilterStats();
+    tail_.clear();
+    tailBase_ = 0;
     pos_ = 0;
     hits_.clear();
-    flushedCandidates_ = 0;
-    flushedWindowBytes_ = 0;
-    flushedSkipped_ = 0;
+    flushed_ = PrefilterStats();
 }
 
 size_t

@@ -33,11 +33,13 @@
  * covered components are counter-free, all-input-start, and bounded,
  * so simulation from a fresh enabled set at the window start is
  * exact: reports (element, offset, code) equal the unfiltered
- * engine's over the same input. Guard handling preserves the serial
- * poll contract: run() polls SimOptions-style RunGuards every
- * kGuardCheckIntervalSymbols consumed symbols — *including across
- * skipped regions* — and truncates at the same poll points the
- * unfiltered engine would.
+ * engine's over the same input.
+ *
+ * There is one executor, PrefilteredNfa::Session: a stream fed in any
+ * chunks, each scanned and replayed in place, and a block run is a
+ * Session fed once. Sessions are guard-free; the planned executor
+ * (PlannedSession) owns the poll clock and slices its feeds so that
+ * truncation lands on the serial engine's poll points.
  */
 
 #ifndef AZOO_ENGINE_PREFILTER_HH
@@ -54,11 +56,8 @@
 #include "engine/engine_scratch.hh"
 #include "engine/nfa_engine.hh"
 #include "engine/report.hh"
-#include "util/status.hh"
 
 namespace azoo {
-
-class RunGuard;
 
 /** One literal the scanner sweeps for, with the window the full
  *  engine replays around each occurrence. */
@@ -217,8 +216,8 @@ class LiteralScanner
  * component; report element ids are remapped through @p toGlobal so
  * output refers to the original automaton.
  *
- * Immutable after construction: block runs and any number of
- * Sessions (on any threads) share it, each with its own scratch.
+ * Immutable after construction: any number of Sessions (on any
+ * threads) share it, each with its own scratch.
  */
 class PrefilteredNfa
 {
@@ -228,57 +227,21 @@ class PrefilteredNfa
     PrefilteredNfa(const PrefilteredNfa &) = delete;
     PrefilteredNfa &operator=(const PrefilteredNfa &) = delete;
 
-    /** Outcome of one block-mode run. Reports carry global element
-     *  ids and absolute offsets, in emission (ascending-offset)
-     *  order. */
-    struct RunResult {
-        uint64_t symbols = 0; ///< consumed prefix (== len unless guarded)
-        Status guardStatus;
-        std::vector<Report> reports;
-        uint64_t totalEnabled = 0;
-        PrefilterStats stats;
-    };
-
-    /**
-     * Scan + windowed simulation over one monolithic input. Polls
-     * @p guard (may be null) every kGuardCheckIntervalSymbols symbols
-     * of input position — skipped bytes still advance the poll clock —
-     * and on a stop yields the consumed-prefix result exactly like
-     * the unfiltered engine.
-     */
-    RunResult run(const uint8_t *input, size_t len, const RunGuard *guard,
-                  EngineScratch &scratch) const;
-
     size_t patternCount() const { return scanner_.patternCount(); }
-    uint32_t maxRadius() const { return maxRadius_; }
 
     /** Resident bytes of the shared tables (exec tables + scanner);
      *  per-session state is Session::footprintBytes(). */
     size_t footprintBytes() const;
 
-  private:
-    /** Mutable engagement state threaded through run()/Session: the
-     *  current window run (if any) and accumulated outputs. */
-    struct Exec {
-        EngineScratch *scratch = nullptr;
-        bool active = false;      ///< a window run is open
-        uint64_t runStart = 0;    ///< absolute offset of cycle 0
-        uint64_t fedEnd = 0;      ///< bytes simulated so far (absolute)
-        uint64_t windowEnd = 0;   ///< current window's right edge
-        uint64_t totalEnabled = 0;
-        std::vector<Report> reports;
-        PrefilterStats stats;
-    };
-
-  public:
     /**
-     * Streaming mode: feed() arbitrary chunks; candidates straddling
-     * chunk boundaries are found by re-scanning a bounded tail of a
-     * rolling buffer. Guard-free by design — the planner's streaming
-     * session owns the poll clock and slices its feeds accordingly.
-     * A Session borrows the (shared, immutable) PrefilteredNfa, which
-     * must outlive it; PlannedSession pins it through its
-     * CompiledPlan.
+     * One stream through the prefilter: feed() arbitrary chunks (a
+     * block run is one feed). Each chunk is scanned and replayed in
+     * place; between feeds the session keeps only the stream's last
+     * max(maxRadius, maxLen) bytes, which is as far back as a
+     * candidate straddling the next chunk boundary, or a window it
+     * opens, can reach. A Session borrows the (shared, immutable)
+     * PrefilteredNfa, which must outlive it; PlannedSession pins it
+     * through its CompiledPlan.
      */
     class Session
     {
@@ -288,57 +251,62 @@ class PrefilteredNfa
         /** Consume a chunk (always fully; never fails). */
         void feed(const uint8_t *data, size_t len);
 
-        /** Accumulated reports (global ids, absolute offsets). */
-        const std::vector<Report> &reports() const { return x_.reports; }
-        uint64_t totalEnabled() const { return x_.totalEnabled; }
-        const PrefilterStats &stats() const { return x_.stats; }
+        /** Accumulated reports (global ids, absolute offsets, in
+         *  ascending-offset emission order). */
+        const std::vector<Report> &reports() const { return reports_; }
+        uint64_t totalEnabled() const { return totalEnabled_; }
+        const PrefilterStats &stats() const { return stats_; }
         uint64_t offset() const { return pos_; }
 
         /** Back to start-of-stream; results cleared. */
         void reset();
 
-        /** Resident bytes of this session's own state (scratch,
-         *  rolling buffer, hit list, report storage). */
+        /** Resident bytes of this session's own state (scratch, kept
+         *  tail, hit list, report storage). */
         size_t
         footprintBytes() const
         {
             return sizeof(*this) + scratch_.footprintBytes() +
-                buf_.capacity() +
+                tail_.capacity() +
                 hits_.capacity() *
                 sizeof(std::pair<uint64_t, uint32_t>) +
-                x_.reports.capacity() * sizeof(Report);
+                reports_.capacity() * sizeof(Report);
         }
 
       private:
+        void openRun(uint64_t lo);
+        void closeRun();
+        /** Simulate absolute positions [fedEnd_, target): those
+         *  before pos_ from the kept tail, the rest from @p data (the
+         *  chunk being fed, at offset pos_). */
+        void replayTo(uint64_t target, const uint8_t *data);
+        /** Engage/extend the window for a candidate ending at @p e.
+         *  Hits must arrive in ascending @p e order; @p avail caps how
+         *  far replay may proceed (bytes beyond it are not readable
+         *  yet). */
+        void applyHit(uint64_t e, uint32_t pat, uint64_t avail,
+                      const uint8_t *data);
+
         const PrefilteredNfa &pf_;
         EngineScratch scratch_;
-        PrefilteredNfa::Exec x_;
-        /** Rolling window of recent stream bytes; buf_[i] is absolute
-         *  offset bufBase_ + i. */
-        std::vector<uint8_t> buf_;
-        uint64_t bufBase_ = 0;
+        bool active_ = false;   ///< a window run is open
+        uint64_t runStart_ = 0; ///< absolute offset of its cycle 0
+        uint64_t fedEnd_ = 0;   ///< bytes simulated so far (absolute)
+        uint64_t windowEnd_ = 0; ///< current window's right edge
+        uint64_t totalEnabled_ = 0;
+        std::vector<Report> reports_;
+        PrefilterStats stats_;
+        /** The stream's last bytes before pos_: tail_[i] is absolute
+         *  offset tailBase_ + i. */
+        std::vector<uint8_t> tail_;
+        uint64_t tailBase_ = 0;
         uint64_t pos_ = 0;
         std::vector<std::pair<uint64_t, uint32_t>> hits_;
         /** obs flush watermarks (deltas are flushed per feed). */
-        uint64_t flushedCandidates_ = 0;
-        uint64_t flushedWindowBytes_ = 0;
-        uint64_t flushedSkipped_ = 0;
+        PrefilterStats flushed_;
     };
 
   private:
-    void openRun(Exec &x, uint64_t lo) const;
-    void closeRun(Exec &x) const;
-    /** Simulate absolute positions [x.fedEnd, target); bytes[i] is
-     *  absolute offset bytesBase + i. */
-    void feedTo(Exec &x, uint64_t target, const uint8_t *bytes,
-                uint64_t bytesBase) const;
-    /** Engage/extend the window for a candidate ending at @p e.
-     *  Hits must arrive in ascending @p e order; @p avail caps how
-     *  far feeding may proceed (bytes beyond it are not readable
-     *  yet). */
-    void applyHit(Exec &x, uint64_t e, uint32_t pat, uint64_t avail,
-                  const uint8_t *bytes, uint64_t bytesBase) const;
-
     NfaEngine engine_;
     std::vector<ElementId> toGlobal_;
     LiteralScanner scanner_;

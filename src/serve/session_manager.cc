@@ -138,8 +138,15 @@ MatchSessionPool::acquire()
     // on a reload worker) stays cheap.
     if (engine_ == ServeEngine::kPlanned) {
         if (!plan_) {
+            // No lazy cache in pooled sessions: a cache is per
+            // session, and Snort's fills its 8 MiB budget (seed-1
+            // traced layerbench run: engine.lazy.flushes 0.29 per
+            // 1 MiB scan), so it would add about 8 MiB of RSS per live
+            // session. Cyclic components are interpreted instead.
+            PlanOptions popts = gen_->spec.plan;
+            popts.lazyCacheBytes = 0;
             plan_ = std::make_shared<const CompiledPlan>(
-                gen_->automaton, gen_->profiles, gen_->spec.plan);
+                gen_->automaton, gen_->profiles, popts);
         }
         return std::make_unique<PlannedMatchSession>(plan_);
     }

@@ -17,6 +17,7 @@
 #include "core/builder.hh"
 #include "engine/nfa_engine.hh"
 #include "engine/parallel_runner.hh"
+#include "obs/obs.hh"
 #include "util/thread_pool.hh"
 #include "zoo/registry.hh"
 
@@ -314,6 +315,39 @@ TEST(ParallelRunner, ShardedHonorsRecordingOptions)
     SimResult few = capped.simulateSharded(in);
     EXPECT_EQ(few.reports.size(), 5u);
     EXPECT_EQ(few.reportCount, off.reportCount);
+}
+
+TEST(ParallelRunner, LazyRunnerCompilesNoInterpreter)
+{
+    // A runner builds only what its engine drives: over a counter-free
+    // automaton the lazy-DFA runner's slots and shards need no
+    // interpreter tables at all.
+    if (!obs::kEnabled)
+        GTEST_SKIP() << "AZOO_OBS=OFF: hooks compiled out";
+    Automaton a("t");
+    addLiteral(a, "attack", StartType::kAllInput, true, 1);
+    addLiteral(a, "wombat", StartType::kAllInput, true, 2);
+    addLiteral(a, "baobab", StartType::kAllInput, true, 3);
+    const std::string text = "xxattackxxwombatxxbaobab";
+    const std::vector<uint8_t> in(text.begin(), text.end());
+    NfaEngine serial(a);
+    SimResult want = serial.simulate(in);
+    canonicalizeReports(want);
+
+    obs::Registry &reg = obs::Registry::global();
+    for (size_t threads : {size_t(1), size_t(3)}) {
+        const uint64_t compiles0 = reg.counterValue("engine.nfa.compiles");
+        ParallelOptions popts;
+        popts.threads = threads;
+        popts.engine = ParallelEngine::kLazyDfa;
+        ParallelRunner runner(a, popts);
+        EXPECT_EQ(reg.counterValue("engine.nfa.compiles"), compiles0)
+            << threads << " threads";
+        EXPECT_EQ(runner.simulateSharded(in).reports, want.reports);
+        const BatchResult br = runner.runBatch({in});
+        ASSERT_TRUE(br.allOk());
+        EXPECT_EQ(br.perStream[0].reports, want.reports);
+    }
 }
 
 TEST(Zoo, BuildSuiteParallelIsDeterministic)

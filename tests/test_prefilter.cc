@@ -204,21 +204,22 @@ TEST(PrefilteredNfa, MatchesUnfilteredEngine)
     PrefilteredNfa pf(a, identityMap(a), patternsFor(kLits));
 
     Rng rng(99);
-    EngineScratch scratch;
+    PrefilteredNfa::Session sess(pf);
     for (int round = 0; round < 10; ++round) {
         std::vector<uint8_t> in =
             plantedInput(rng, kLits, 4096 + rng.nextBelow(4096));
         SimResult want = plain.simulate(in);
         canonicalizeReports(want);
 
-        PrefilteredNfa::RunResult got =
-            pf.run(in.data(), in.size(), nullptr, scratch);
-        std::sort(got.reports.begin(), got.reports.end());
-        EXPECT_EQ(got.symbols, want.symbols);
-        EXPECT_TRUE(got.guardStatus.ok());
-        EXPECT_EQ(got.reports, want.reports) << "round " << round;
-        EXPECT_EQ(got.stats.windowBytes + got.stats.skippedBytes,
-                  got.symbols);
+        // A block run is a session fed once.
+        sess.reset();
+        sess.feed(in.data(), in.size());
+        std::vector<Report> got = sess.reports();
+        std::sort(got.begin(), got.end());
+        EXPECT_EQ(sess.offset(), want.symbols);
+        EXPECT_EQ(got, want.reports) << "round " << round;
+        EXPECT_EQ(sess.stats().windowBytes + sess.stats().skippedBytes,
+                  sess.offset());
     }
 }
 
@@ -236,19 +237,32 @@ TEST(PrefilteredNfa, OverlappingCandidatesCoalesceExactly)
     SimResult want = plain.simulate(in);
     canonicalizeReports(want);
 
-    EngineScratch scratch;
-    PrefilteredNfa::RunResult got =
-        pf.run(in.data(), in.size(), nullptr, scratch);
-    std::sort(got.reports.begin(), got.reports.end());
-    EXPECT_EQ(got.reports, want.reports);
-    EXPECT_EQ(got.stats.skippedBytes, 0u);
+    PrefilteredNfa::Session sess(pf);
+    sess.feed(in.data(), in.size());
+    std::vector<Report> got = sess.reports();
+    std::sort(got.begin(), got.end());
+    EXPECT_EQ(got, want.reports);
+    EXPECT_EQ(sess.stats().skippedBytes, 0u);
+}
+
+/** The planned executor over @p a, asserting that every component
+ *  is planned onto the prefilter. The guard belongs to the planned
+ *  executor (prefilter sessions are guard-free). */
+PlannedEngine
+prefilterOnly(const Automaton &a)
+{
+    PlannedEngine e(a);
+    EXPECT_EQ(e.plan().backendCount[static_cast<size_t>(
+                  PlanBackend::kPrefilter)],
+              e.plan().decisions.size());
+    return e;
 }
 
 TEST(PrefilteredNfa, GuardBudgetTruncatesLikeSerial)
 {
     Automaton a = literalAutomaton(kLits);
     NfaEngine plain(a);
-    PrefilteredNfa pf(a, identityMap(a), patternsFor(kLits));
+    PlannedEngine pf = prefilterOnly(a);
 
     Rng rng(7);
     std::vector<uint8_t> in = plantedInput(rng, kLits, 10000);
@@ -264,9 +278,9 @@ TEST(PrefilteredNfa, GuardBudgetTruncatesLikeSerial)
 
     RunGuard pg;
     pg.setSymbolBudget(3000);
-    EngineScratch scratch;
-    PrefilteredNfa::RunResult got =
-        pf.run(in.data(), in.size(), &pg, scratch);
+    SimOptions popts;
+    popts.guard = &pg;
+    SimResult got = pf.simulate(in.data(), in.size(), popts);
     std::sort(got.reports.begin(), got.reports.end());
     EXPECT_EQ(got.symbols, want.symbols);
     EXPECT_EQ(got.guardStatus.code(), want.guardStatus.code());
@@ -276,14 +290,14 @@ TEST(PrefilteredNfa, GuardBudgetTruncatesLikeSerial)
 TEST(PrefilteredNfa, PreCancelledGuardConsumesNothing)
 {
     Automaton a = literalAutomaton(kLits);
-    PrefilteredNfa pf(a, identityMap(a), patternsFor(kLits));
+    PlannedEngine pf = prefilterOnly(a);
     std::vector<uint8_t> in(2048, 'a');
 
     RunGuard guard;
     guard.cancel();
-    EngineScratch scratch;
-    PrefilteredNfa::RunResult got =
-        pf.run(in.data(), in.size(), &guard, scratch);
+    SimOptions opts;
+    opts.guard = &guard;
+    SimResult got = pf.simulate(in.data(), in.size(), opts);
     EXPECT_EQ(got.symbols, 0u);
     EXPECT_EQ(got.guardStatus.code(), ErrorCode::kCancelled);
     EXPECT_TRUE(got.reports.empty());
@@ -383,16 +397,46 @@ TEST_P(PlannedVsSerial, ChunkedSessionBitIdentical)
 
     const std::vector<analysis::ComponentProfile> profiles =
         analysis::inferProfiles(b.automaton);
-    for (size_t chunk : {size_t(1024), size_t(4097)}) {
-        PlannedSession sess(b.automaton, profiles);
-        sess.options = sim;
-        for (size_t pos = 0; pos < simLen;) {
-            const size_t n = std::min(chunk, simLen - pos);
-            ASSERT_EQ(sess.feed(b.input.data() + pos, n), n);
-            pos += n;
+    // The default plan, and one whose lazy caches are small enough to
+    // flush: the lazy DFA resumes at every feed boundary, so neither
+    // its reports nor its flush/state trajectory may depend on the
+    // chunking.
+    PlanOptions flushing;
+    flushing.lazyCacheBytes = 4096;
+    for (const PlanOptions &popts : {PlanOptions(), flushing}) {
+        const bool small = popts.lazyCacheBytes == flushing.lazyCacheBytes;
+        const auto plan = std::make_shared<const CompiledPlan>(
+            b.automaton, profiles, popts);
+        if (small && !plan->lazy()) {
+            // No lazy group, so the budget changes nothing; Snort's
+            // dot-star rules must have one.
+            EXPECT_NE(GetParam(), "Snort");
+            continue;
         }
-        expectSemanticallyEqual(sess.results(), want,
-                                cat("chunk ", chunk));
+        const std::string budget =
+            cat("cache ", popts.lazyCacheBytes, " B");
+        PlannedEngine block(plan);
+        const SimResult whole = block.simulate(b.input.data(), simLen, sim);
+        expectSemanticallyEqual(whole, want, budget + ", block");
+        if (GetParam() == "Snort" && small) {
+            EXPECT_GT(whole.lazyFlushes, 0u)
+                << "the small budget no longer forces a flush";
+        }
+        for (size_t chunk :
+             {size_t(1), size_t(7), size_t(1024), size_t(4097)}) {
+            const std::string label = cat(budget, ", chunk ", chunk);
+            PlannedSession sess(plan);
+            sess.options = sim;
+            for (size_t pos = 0; pos < simLen;) {
+                const size_t n = std::min(chunk, simLen - pos);
+                ASSERT_EQ(sess.feed(b.input.data() + pos, n), n);
+                pos += n;
+            }
+            const SimResult got = sess.results();
+            expectSemanticallyEqual(got, want, label);
+            EXPECT_EQ(got.lazyFlushes, whole.lazyFlushes) << label;
+            EXPECT_EQ(got.lazyStates, whole.lazyStates) << label;
+        }
     }
 }
 

@@ -45,7 +45,7 @@
  * also works single-stream (without --batch): the input is fed
  * through one StreamingSession (or PlannedSession under --engine
  * auto); it requires --engine nfa or auto and --threads 1 (the
- * streaming session has no lazy-DFA backend).
+ * lazy-DFA engine's counter fallback has no streaming form).
  *
  * --metrics prints the azoo::obs registry snapshot (JSON) after the
  * run; --metrics=FILE writes it to FILE instead.
@@ -296,12 +296,12 @@ main(int argc, char **argv)
     const auto chunkBytes =
         static_cast<size_t>(cli.getInt("chunk", 0));
     if (chunkBytes != 0) {
-        // StreamingSession is the interpreter; mirror the runBatch
-        // rejection instead of silently substituting an engine.
+        // Mirror the runBatch rejection instead of silently
+        // substituting an engine.
         if (engine != "nfa" && !planned)
             tool::usageError("azoo_run: --chunk requires --engine nfa "
-                             "or auto (the streaming session has no "
-                             "lazy-DFA backend)");
+                             "or auto (the lazy-DFA engine's counter "
+                             "fallback has no streaming form)");
         if (threads > 1)
             tool::usageError("azoo_run: --chunk with --threads > 1 "
                              "requires --batch");
