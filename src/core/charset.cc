@@ -1,7 +1,9 @@
 #include "core/charset.hh"
 
+#include <algorithm>
 #include <bit>
 #include <cassert>
+#include <unordered_map>
 
 #include "util/logging.hh"
 #include "util/strings.hh"
@@ -224,6 +226,38 @@ CharSet::str() const
         c = run + 1;
     }
     out += "]";
+    return out;
+}
+
+SymbolClasses
+symbolClasses(const std::vector<const CharSet *> &sets)
+{
+    SymbolClasses out; // one class holding every byte
+    uint32_t count = 1;
+    std::unordered_map<uint64_t, std::vector<const CharSet *>> seen;
+    for (const CharSet *s : sets) {
+        std::vector<const CharSet *> &bucket = seen[s->hash()];
+        if (std::any_of(bucket.begin(), bucket.end(),
+                        [&](const CharSet *c) { return *c == *s; }))
+            continue;
+        bucket.push_back(s);
+        // Split every class by membership in s. Numbering the pieces
+        // in byte order keeps classes in first-byte order.
+        std::array<int16_t, 512> piece;
+        piece.fill(-1);
+        int16_t next = 0;
+        for (int b = 0; b < 256; ++b) {
+            const auto c = static_cast<uint8_t>(b);
+            int16_t &id = piece[out.classOf[c] * 2 + s->test(c)];
+            if (id < 0)
+                id = next++;
+            out.classOf[c] = static_cast<uint8_t>(id);
+        }
+        count = static_cast<uint32_t>(next);
+    }
+    out.rep.assign(count, 0);
+    for (int b = 255; b >= 0; --b)
+        out.rep[out.classOf[b]] = static_cast<uint8_t>(b);
     return out;
 }
 

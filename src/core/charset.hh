@@ -10,6 +10,7 @@
 #include <array>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 namespace azoo {
 
@@ -103,6 +104,20 @@ class CharSet
   private:
     std::array<uint64_t, 4> words_;
 };
+
+/** Byte equivalence classes of a family of sets: two bytes share a
+ *  class iff every set holds both or neither, so a DFA over the sets
+ *  needs one transition column per class. */
+struct SymbolClasses {
+    /** Byte -> class; classes are numbered in order of their first
+     *  byte. */
+    std::array<uint8_t, 256> classOf{};
+    /** The first (smallest) byte of each class; never empty. */
+    std::vector<uint8_t> rep;
+};
+
+/** The classes of @p sets (duplicates allowed; no sets = one class). */
+SymbolClasses symbolClasses(const std::vector<const CharSet *> &sets);
 
 } // namespace azoo
 

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "engine/partition.hh"
+#include "engine/planner.hh"
 #include "engine/run_guard.hh"
 #include "obs/obs.hh"
 
@@ -94,48 +94,16 @@ LazyDfaTables::LazyDfaTables(const Automaton &a,
         }
     }
 
-    // Symbol equivalence classes over the *distinct* lazy charsets:
-    // bytes no lazy state can tell apart share one transition row,
-    // which shrinks both cache rows and the number of distinct cells
-    // a hot region touches.
-    std::vector<const CharSet *> distinct;
-    {
-        std::unordered_map<uint64_t, std::vector<const CharSet *>> seen;
-        for (uint32_t i = 0; i < m; ++i) {
-            const CharSet &cs = a.element(members[i]).symbols;
-            auto &bucket = seen[cs.hash()];
-            bool dup = false;
-            for (const auto *c : bucket) {
-                if (*c == cs) {
-                    dup = true;
-                    break;
-                }
-            }
-            if (!dup) {
-                bucket.push_back(&cs);
-                distinct.push_back(&cs);
-            }
-        }
-    }
-    std::map<std::vector<uint8_t>, uint8_t> sigToClass;
-    std::vector<uint8_t> sig(distinct.size());
-    for (int b = 0; b < 256; ++b) {
-        for (size_t d = 0; d < distinct.size(); ++d)
-            sig[d] = distinct[d]->test(static_cast<uint8_t>(b));
-        auto it = sigToClass.find(sig);
-        if (it == sigToClass.end()) {
-            // At most 256 signatures exist for 256 bytes, so the
-            // class id always fits a byte.
-            it = sigToClass.emplace(
-                sig, static_cast<uint8_t>(sigToClass.size())).first;
-            classRep.push_back(static_cast<uint8_t>(b));
-        }
-        classOf[b] = it->second;
-    }
-    numClasses = static_cast<uint32_t>(
-        std::max<size_t>(1, sigToClass.size()));
-    if (classRep.empty())
-        classRep.push_back(0);
+    // Symbol equivalence classes: bytes no lazy state can tell apart
+    // share one transition row, which shrinks both cache rows and the
+    // number of distinct cells a hot region touches.
+    std::vector<const CharSet *> sets(m);
+    for (uint32_t i = 0; i < m; ++i)
+        sets[i] = &a.element(members[i]).symbols;
+    SymbolClasses classes = symbolClasses(sets);
+    classOf = classes.classOf;
+    classRep = std::move(classes.rep);
+    numClasses = static_cast<uint32_t>(classRep.size());
 }
 
 size_t
@@ -365,81 +333,27 @@ LazyDfaCache::footprintBytes() const
 
 LazyDfaEngine::LazyDfaEngine(const Automaton &a,
                              const LazyDfaOptions &opts)
-    : tables_(a, splitCounters(a)), cache_(tables_, opts.cacheBytes)
 {
+    PlanOptions po;
+    po.lazyCacheBytes = opts.cacheBytes;
+    engine_ = std::make_unique<PlannedEngine>(
+        std::make_shared<const CompiledPlan>(
+            a, lazyDfaPlan(a), std::vector<analysis::ComponentProfile>(),
+            po));
+    tables_ = engine_->compiled().lazy();
+    cache_ = engine_->lazyCache();
+    fallbackComponents_ = engine_->plan().backendCount[static_cast<size_t>(
+        PlanBackend::kInterpreter)];
 }
 
-std::vector<ElementId>
-LazyDfaEngine::splitCounters(const Automaton &a)
-{
-    // A counter stays with everything that counts or resets it: the
-    // partition's components span activation *and* reset edges.
-    const ComponentPartition parts(a);
-    std::vector<uint32_t> groupOf(parts.count(),
-                                  ComponentPartition::kNoGroup);
-    for (ElementId i = 0; i < a.size(); ++i) {
-        if (a.element(i).kind == ElementKind::kCounter)
-            groupOf[parts.of(i)] = 0;
-    }
-    std::vector<ElementId> lazyMembers;
-    for (ElementId i = 0; i < a.size(); ++i) {
-        if (groupOf[parts.of(i)] == ComponentPartition::kNoGroup)
-            lazyMembers.push_back(i);
-    }
-    fallbackComponentCount_ = static_cast<size_t>(
-        std::count(groupOf.begin(), groupOf.end(), 0u));
-    if (fallbackComponentCount_) {
-        ComponentPartition::Group fb = std::move(parts.split(groupOf, 1)[0]);
-        fallbackEngine_ = std::make_unique<NfaEngine>(fb.sub);
-        fallbackToGlobal_ = std::move(fb.toGlobal);
-    }
-    return lazyMembers;
-}
+LazyDfaEngine::~LazyDfaEngine() = default;
 
 SimResult
 LazyDfaEngine::simulate(const uint8_t *input, size_t len,
                         const SimOptions &opts)
 {
-    // Pure lazy path: reports stream out already in canonical
-    // (offset, element, code) order, so everything is computed
-    // directly with the caller's options. Hybrid path: both halves
-    // record their full report streams so the canonical merge can
-    // reconstruct reportingCycles and byCode exactly; the caller's
-    // recording options apply to the merge.
-    const SimOptions inner = fallbackEngine_ ? recordAllOptions(opts) : opts;
-    SimResult res;
-    res.symbols = len;
-    const uint64_t flushes0 = cache_.flushes();
-    if (tables_.elements()) {
-        cache_.restart();
-        res.symbols = cache_.resume(0, len, input, inner, res);
-    }
-    cache_.noteRun(res.symbols);
-    res.lazyFlushes = cache_.flushes() - flushes0;
-    res.lazyStates = cache_.states();
-    res.lazyFallbackComponents = fallbackComponentCount_;
-    if (!res.guardStatus.ok())
-        obs::noteGuardStop("engine.lazy", res.guardStatus.code());
-    if (!fallbackEngine_)
-        return res;
-
-    // The fallback interpreter only scans the prefix the lazy half
-    // consumed; if its guard poll truncates even earlier, the merged
-    // result shrinks to the shorter prefix.
-    SimResult fb = fallbackEngine_->simulate(
-        input, static_cast<size_t>(res.symbols), fallbackScratch_,
-        inner);
-    if (fb.symbols < res.symbols) {
-        res.symbols = fb.symbols;
-        res.guardStatus = fb.guardStatus;
-    }
-    // When truncated, the two halves may have scanned slightly
-    // different prefixes; totalEnabled then covers their union and
-    // can overcount the merged prefix by up to one guard interval.
-    res.totalEnabled += fb.totalEnabled;
-    std::vector<Report> reports = std::move(res.reports);
-    appendGlobal(reports, fb.reports, fallbackToGlobal_);
-    mergeCanonical(std::move(reports), opts, res);
+    SimResult res = engine_->simulate(input, len, opts);
+    res.lazyFallbackComponents = fallbackComponents_;
     return res;
 }
 

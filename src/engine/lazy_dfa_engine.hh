@@ -26,11 +26,12 @@
  * chunks, and since a flush re-interns the cursor in place, neither
  * reports nor the flush/state trajectory depend on the chunking.
  *
- * LazyDfaEngine is the standalone block engine: its own tables, one
- * cache (simulate() is one resume() over the input), and an embedded
- * NfaEngine for the counter components, which cannot be determinized
- * (counter values are not part of the subset state) — mirroring how
- * hybrid engines mix DFA and NFA subsystems.
+ * LazyDfaEngine is the standalone block engine: a PlannedEngine over
+ * lazyDfaPlan(), which puts the counter components, which cannot be
+ * determinized (counter values are not part of the subset state), on
+ * the plan's interpreter lane — mirroring how hybrid engines mix DFA
+ * and NFA subsystems. Without counters the lazy DFA is the plan's
+ * only lane and runs under the caller's options with no merge.
  *
  * Determinism: results are bit-identical to NfaEngine's on every
  * semantic field — reports carry the original element ids and appear
@@ -40,8 +41,8 @@
  * not approximations.
  *
  * A cache (and so a LazyDfaEngine) must not be shared by concurrently
- * running threads; ParallelRunner builds one engine per worker slot,
- * and every PlannedSession owns a cache over its plan's tables.
+ * running threads: every PlannedSession, and so every ParallelRunner
+ * slot and shard, owns a cache over its plan's shared tables.
  */
 
 #ifndef AZOO_ENGINE_LAZY_DFA_ENGINE_HH
@@ -55,8 +56,6 @@
 #include <vector>
 
 #include "core/automaton.hh"
-#include "engine/engine_scratch.hh"
-#include "engine/nfa_engine.hh"
 #include "engine/report.hh"
 
 namespace azoo {
@@ -205,16 +204,21 @@ class LazyDfaCache
     std::vector<std::pair<ElementId, uint32_t>> repScratch_;
 };
 
-/** Standalone lazy-DFA hybrid engine over one automaton. */
+class PlannedEngine;
+
+/**
+ * Standalone lazy-DFA hybrid engine over one automaton: a
+ * PlannedEngine over lazyDfaPlan() (planner.hh), so the counter
+ * components run on the plan's interpreter lane and the merge, the
+ * poll clock and the cache are the planned executor's.
+ */
 class LazyDfaEngine
 {
   public:
     /** Compile @p a (not referenced after construction). */
     explicit LazyDfaEngine(const Automaton &a,
                            const LazyDfaOptions &opts = LazyDfaOptions());
-    // cache_ refers to tables_: an engine must stay where it was built.
-    LazyDfaEngine(const LazyDfaEngine &) = delete;
-    LazyDfaEngine &operator=(const LazyDfaEngine &) = delete;
+    ~LazyDfaEngine();
 
     /**
      * Run over @p input. Mutates the transition cache (and therefore
@@ -232,34 +236,31 @@ class LazyDfaEngine
     }
 
     /** Elements on the lazy-DFA path (counter-free components). */
-    size_t lazyElements() const { return tables_.elements(); }
+    size_t lazyElements() const { return tables_ ? tables_->elements() : 0; }
 
     /** Components interpreted by the NFA fallback (counters). */
-    size_t fallbackComponents() const { return fallbackComponentCount_; }
+    size_t fallbackComponents() const { return fallbackComponents_; }
 
-    // The cache's counters (see LazyDfaCache).
-    uint64_t cacheFlushes() const { return cache_.flushes(); }
-    uint64_t cachedStates() const { return cache_.states(); }
-    uint64_t cachedTransitions() const { return cache_.transitions(); }
-    uint64_t cacheBytesUsed() const { return cache_.bytesUsed(); }
+    // The cache's counters (see LazyDfaCache; 0 without a lazy part).
+    uint64_t cacheFlushes() const { return cache_ ? cache_->flushes() : 0; }
+    uint64_t cachedStates() const { return cache_ ? cache_->states() : 0; }
+    uint64_t
+    cachedTransitions() const
+    {
+        return cache_ ? cache_->transitions() : 0;
+    }
+    uint64_t cacheBytesUsed() const { return cache_ ? cache_->bytesUsed() : 0; }
 
     /** Input-symbol equivalence classes over the lazy partition. */
-    uint32_t symbolClasses() const { return tables_.numClasses; }
+    uint32_t symbolClasses() const { return tables_ ? tables_->numClasses : 1; }
 
   private:
-    /** The counter-free elements of @p a; counts the counter
-     *  components into fallbackComponentCount_ and compiles them into
-     *  the fallback. */
-    std::vector<ElementId> splitCounters(const Automaton &a);
-
-    // ---- counter fallback (built first: it picks the lazy members) --
-    std::unique_ptr<NfaEngine> fallbackEngine_;
-    std::vector<ElementId> fallbackToGlobal_;
-    size_t fallbackComponentCount_ = 0;
-    EngineScratch fallbackScratch_;
-
-    const LazyDfaTables tables_;
-    LazyDfaCache cache_;
+    std::unique_ptr<PlannedEngine> engine_;
+    /** The plan's lazy tables and the session's cache (null without
+     *  a lazy part); both live as long as engine_. */
+    const LazyDfaTables *tables_ = nullptr;
+    const LazyDfaCache *cache_ = nullptr;
+    size_t fallbackComponents_ = 0;
 };
 
 } // namespace azoo

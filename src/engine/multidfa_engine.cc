@@ -113,49 +113,11 @@ MultiDfaEngine::buildDfa(const Automaton &a,
     }
 
     // Symbol equivalence classes: two bytes are equivalent iff every
-    // state charset in the component agrees on them. Signature is a
-    // bit per *distinct* charset.
-    std::vector<const CharSet *> distinct;
-    {
-        std::unordered_map<uint64_t, std::vector<const CharSet *>> seen;
-        for (uint32_t i = 0; i < m; ++i) {
-            auto &bucket = seen[sym[i]->hash()];
-            bool dup = false;
-            for (auto *cs : bucket) {
-                if (*cs == *sym[i]) {
-                    dup = true;
-                    break;
-                }
-            }
-            if (!dup) {
-                bucket.push_back(sym[i]);
-                distinct.push_back(sym[i]);
-            }
-        }
-    }
-    {
-        std::map<std::vector<uint8_t>, uint8_t> sig_to_class;
-        std::vector<uint8_t> sig(distinct.size());
-        for (int b = 0; b < 256; ++b) {
-            for (size_t d = 0; d < distinct.size(); ++d)
-                sig[d] = distinct[d]->test(static_cast<uint8_t>(b));
-            auto it = sig_to_class.find(sig);
-            if (it == sig_to_class.end()) {
-                if (sig_to_class.size() >= 256)
-                    return false; // cannot index classes in a byte
-                it = sig_to_class.emplace(
-                    sig,
-                    static_cast<uint8_t>(sig_to_class.size())).first;
-            }
-            dfa.classOf[b] = it->second;
-        }
-        dfa.numClasses = static_cast<uint32_t>(sig_to_class.size());
-    }
-
-    // One representative byte per class (classes partition [0,256)).
-    std::vector<uint8_t> rep(dfa.numClasses, 0);
-    for (int b = 255; b >= 0; --b)
-        rep[dfa.classOf[b]] = static_cast<uint8_t>(b);
+    // state charset in the component agrees on them.
+    SymbolClasses classes = symbolClasses(sym);
+    dfa.classOf = classes.classOf;
+    dfa.numClasses = static_cast<uint32_t>(classes.rep.size());
+    const std::vector<uint8_t> &rep = classes.rep;
 
     // Subset construction. DFA states are sorted local-id sets.
     std::map<std::vector<uint32_t>, uint32_t> state_ids;
@@ -259,16 +221,11 @@ MultiDfaEngine::simulate(const uint8_t *input, size_t len,
 {
     SimResult res;
     res.symbols = len;
-
-    auto emit = [&](uint64_t t, ElementId el, uint32_t code) {
-        ++res.reportCount;
-        if (opts.recordReports &&
-            res.reports.size() < opts.reportRecordLimit) {
-            res.reports.push_back({t, el, code});
-        }
-        if (opts.countByCode)
-            ++res.byCode[code];
-    };
+    // Alone, the DFAs tally under the caller's options. Beside the
+    // fallback, both halves record everything and one canonical merge
+    // builds the result.
+    const SimOptions dfaOpts =
+        fallbackEngine_ ? recordAllOptions(opts) : opts;
 
     std::vector<uint32_t> state(dfas_.size());
     for (size_t d = 0; d < dfas_.size(); ++d)
@@ -276,36 +233,41 @@ MultiDfaEngine::simulate(const uint8_t *input, size_t len,
 
     for (uint64_t t = 0; t < len; ++t) {
         const uint8_t s = input[t];
+        bool reported = false;
         for (size_t d = 0; d < dfas_.size(); ++d) {
             const Dfa &dfa = dfas_[d];
             const uint32_t cell =
                 state[d] * dfa.numClasses + dfa.classOf[s];
             const uint32_t ridx = dfa.reportIdx[cell];
             if (ridx) {
-                for (const auto &r : dfa.pool[ridx])
-                    emit(t, r.element, r.code);
+                reported = true;
+                for (const auto &r : dfa.pool[ridx]) {
+                    ++res.reportCount;
+                    if (dfaOpts.recordReports &&
+                        res.reports.size() < dfaOpts.reportRecordLimit)
+                        res.reports.push_back({t, r.element, r.code});
+                    if (dfaOpts.countByCode)
+                        ++res.byCode[r.code];
+                }
             }
             state[d] = dfa.next[cell];
         }
+        res.reportingCycles += reported;
     }
+    if (!fallbackEngine_)
+        return res;
 
-    if (fallbackEngine_) {
-        SimResult fres = fallbackEngine_->simulate(input, len, opts);
-        res.reportCount += fres.reportCount;
-        res.totalEnabled += fres.totalEnabled;
-        res.lazyFlushes = fres.lazyFlushes;
-        res.lazyStates = fres.lazyStates;
-        res.lazyFallbackComponents = fres.lazyFallbackComponents;
-        for (auto &r : fres.reports) {
-            if (opts.recordReports &&
-                res.reports.size() < opts.reportRecordLimit) {
-                res.reports.push_back(
-                    {r.offset, fallbackToGlobal_[r.element], r.code});
-            }
-        }
-        for (auto &[code, cnt] : fres.byCode)
-            res.byCode[code] += cnt;
-    }
+    SimResult fres =
+        fallbackEngine_->simulate(input, len, recordAllOptions(opts));
+    res.symbols = fres.symbols;
+    res.guardStatus = fres.guardStatus;
+    res.totalEnabled = fres.totalEnabled;
+    res.lazyFlushes = fres.lazyFlushes;
+    res.lazyStates = fres.lazyStates;
+    res.lazyFallbackComponents = fres.lazyFallbackComponents;
+    std::vector<Report> reports = std::move(res.reports);
+    appendGlobal(reports, fres.reports, fallbackToGlobal_);
+    mergeCanonical(std::move(reports), opts, res);
     return res;
 }
 

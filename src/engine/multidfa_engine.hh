@@ -66,7 +66,10 @@ class MultiDfaEngine
                                 MultiDfaOptions());
 
     /** Run over @p input. Report element ids refer to the original
-     *  automaton, so results are comparable with NfaEngine's. */
+     *  automaton, and reportCount, reportingCycles and byCode equal
+     *  NfaEngine's. With a fallback, the DFA and fallback halves are
+     *  merged canonically, so the reports come out in canonical
+     *  order and a record cap keeps the canonical prefix. */
     SimResult simulate(const uint8_t *input, size_t len,
                        const SimOptions &opts = SimOptions()) const;
 
@@ -85,13 +88,6 @@ class MultiDfaEngine
 
     /** Total DFA states across all compiled components. */
     uint64_t totalDfaStates() const;
-
-    /** The lazy-DFA fallback engine, or nullptr if every component
-     *  compiled eagerly. Exposed for cache statistics. */
-    const LazyDfaEngine *lazyFallback() const
-    {
-        return fallbackEngine_.get();
-    }
 
   private:
     /** One report event attached to a (state, class) DFA cell. */

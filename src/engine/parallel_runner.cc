@@ -3,7 +3,6 @@
 #include <numeric>
 
 #include "engine/partition.hh"
-#include "engine/streaming.hh"
 #include "obs/obs.hh"
 #include "util/fault.hh"
 #include "util/logging.hh"
@@ -13,16 +12,16 @@ namespace azoo {
 
 namespace {
 
-/** Feed @p in through @p sess in chunks of @p chunk bytes (0 = one
- *  feed), stopping at a short feed (the guard stopped the session;
- *  further chunks would be refused). */
-template <typename Session>
+/** Feed @p in through @p sess from the start of a stream, in chunks
+ *  of @p chunk bytes (0 = one feed), stopping at a short feed (the
+ *  guard stopped the session; further chunks would be refused). */
 SimResult
-feedChunks(Session &&sess, const SimOptions &opts,
+feedChunks(PlannedSession &sess, const SimOptions &opts,
            const std::vector<uint8_t> &in, size_t chunk)
 {
     if (chunk == 0)
         chunk = in.size();
+    sess.reset();
     sess.options = opts;
     for (size_t pos = 0; pos < in.size();) {
         const size_t want = std::min(chunk, in.size() - pos);
@@ -31,10 +30,28 @@ feedChunks(Session &&sess, const SimOptions &opts,
         if (got < want)
             break;
     }
-    return sess.results();
+    return sess.takeResults();
 }
 
 } // namespace
+
+std::shared_ptr<const CompiledPlan>
+compilePlan(const Automaton &a, ParallelEngine engine,
+            const PlanOptions &opts)
+{
+    if (engine == ParallelEngine::kPlanned) {
+        // Profiles are per-automaton: a shard's plan infers its own
+        // over its sub-automaton (construction-time only).
+        return std::make_shared<const CompiledPlan>(
+            a, analysis::inferProfiles(a, opts.infer), opts);
+    }
+    EnginePlan routing = engine == ParallelEngine::kNfa
+        ? interpreterPlan(a)
+        : lazyDfaPlan(a);
+    return std::make_shared<const CompiledPlan>(
+        a, std::move(routing), std::vector<analysis::ComponentProfile>(),
+        opts);
+}
 
 ParallelRunner::ParallelRunner(const Automaton &a, ParallelOptions opts)
     : opts_(std::move(opts))
@@ -42,25 +59,12 @@ ParallelRunner::ParallelRunner(const Automaton &a, ParallelOptions opts)
     const size_t threads =
         opts_.threads ? opts_.threads : ThreadPool::hardwareThreads();
     pool_ = std::make_unique<ThreadPool>(threads);
-    // Only what the configured engine drives is built.
-    if (opts_.engine == ParallelEngine::kNfa) {
-        engine_ = std::make_shared<const NfaEngine>(a);
-        slotScratch_.resize(pool_->size());
-    } else if (opts_.engine == ParallelEngine::kLazyDfa) {
-        LazyDfaOptions lo;
-        lo.cacheBytes = opts_.lazyCacheBytes;
-        slotLazy_.resize(pool_->size());
-        for (auto &e : slotLazy_)
-            e = std::make_unique<LazyDfaEngine>(a, lo);
-    } else {
-        // One compile; every slot's session executes it.
-        const auto plan = std::make_shared<const CompiledPlan>(
-            a, analysis::inferProfiles(a, opts_.plan.infer),
-            opts_.plan);
-        slotSessions_.reserve(pool_->size());
-        for (size_t s = 0; s < pool_->size(); ++s)
-            slotSessions_.emplace_back(plan);
-    }
+    // One compile; every slot's session executes it.
+    const std::shared_ptr<const CompiledPlan> plan =
+        compilePlan(a, opts_.engine, opts_.plan);
+    slotSessions_.reserve(pool_->size());
+    for (size_t s = 0; s < pool_->size(); ++s)
+        slotSessions_.emplace_back(plan);
     buildShards(a, threads);
 }
 
@@ -100,22 +104,11 @@ ParallelRunner::buildShards(const Automaton &a, size_t groups)
     }
 
     std::vector<ComponentPartition::Group> cut = parts.split(shardOf, g);
-    shards_.resize(g);
-    for (size_t s = 0; s < g; ++s) {
-        Shard &sh = shards_[s];
-        const Automaton &sub = cut[s].sub;
-        sh.origId = std::move(cut[s].toGlobal);
-        if (opts_.engine == ParallelEngine::kLazyDfa) {
-            LazyDfaOptions lo;
-            lo.cacheBytes = opts_.lazyCacheBytes;
-            sh.lazy = std::make_unique<LazyDfaEngine>(sub, lo);
-        } else if (opts_.engine == ParallelEngine::kPlanned) {
-            // Profiles are per-automaton, so each shard infers its
-            // own over its sub-automaton (construction-time only).
-            sh.planned = std::make_unique<PlannedEngine>(sub, opts_.plan);
-        } else {
-            sh.engine = std::make_unique<NfaEngine>(sub);
-        }
+    shards_.reserve(g);
+    for (ComponentPartition::Group &grp : cut) {
+        shards_.push_back(
+            {std::move(grp.toGlobal), PlannedEngine(
+                compilePlan(grp.sub, opts_.engine, opts_.plan))});
     }
     if (obs::kEnabled) {
         // LPT balance is visible as the spread of this distribution.
@@ -133,22 +126,6 @@ ParallelRunner::runBatch(
     BatchResult out;
     out.perStream.resize(streams.size());
     out.perStreamStatus.resize(streams.size());
-    if (opts_.chunkBytes != 0 &&
-        opts_.engine == ParallelEngine::kLazyDfa) {
-        // Chunked feeding needs a session, and the lazy-DFA engine's
-        // counter fallback has no streaming form. Fail every stream
-        // loudly instead of silently simulating on a different engine
-        // than the caller configured.
-        const Status st(
-            ErrorCode::kInvalidArgument,
-            "chunkBytes requires ParallelEngine::kNfa or kPlanned (the "
-            "lazy-DFA engine's counter fallback has no streaming "
-            "form)");
-        for (size_t i = 0; i < streams.size(); ++i)
-            out.perStreamStatus[i] = st;
-        out.failedStreams = streams.size();
-        return out;
-    }
     obs::ScopedTimer wall(
         obs::Registry::global().histogram("runner.batch.wall_us"));
     pool_->parallelFor(streams.size(), [&](size_t slot, size_t i) {
@@ -162,25 +139,11 @@ ParallelRunner::runBatch(
                            cat("stream ", i,
                                ": worker allocation failed")));
             }
-            if (opts_.engine == ParallelEngine::kPlanned) {
-                // The slot's session, over the shared compile; its
-                // lazy cache stays warm across the slot's streams.
-                PlannedSession &sess = slotSessions_[slot];
-                sess.reset();
-                out.perStream[i] = feedChunks(sess, opts_.sim, streams[i],
-                                              opts_.chunkBytes);
-            } else if (opts_.chunkBytes != 0) {
-                out.perStream[i] =
-                    feedChunks(StreamingSession(engine_), opts_.sim,
-                               streams[i], opts_.chunkBytes);
-            } else if (opts_.engine == ParallelEngine::kLazyDfa) {
-                out.perStream[i] =
-                    slotLazy_[slot]->simulate(streams[i], opts_.sim);
-            } else {
-                out.perStream[i] = engine_->simulate(
-                    streams[i], slotScratch_[slot], opts_.sim);
-            }
-            canonicalizeReports(out.perStream[i]);
+            // The slot's session, over the shared compile; its
+            // scratch and lazy cache stay warm across the slot's
+            // streams, and its results are canonical.
+            out.perStream[i] = feedChunks(slotSessions_[slot], opts_.sim,
+                                          streams[i], opts_.chunkBytes);
         } catch (const StatusError &e) {
             out.perStream[i] = SimResult();
             out.perStreamStatus[i] = e.status();
@@ -232,23 +195,14 @@ ParallelRunner::simulateSharded(const uint8_t *input, size_t len) const
                          const SimOptions &shardOpts) -> Status {
         try {
             pool_->parallelFor(shards_.size(), [&](size_t s) {
-                const Shard &sh = shards_[s];
                 if (fault::shouldFail(fault::Point::kAllocFail)) {
                     throw StatusError(
                         Status(ErrorCode::kResourceExhausted,
                                cat("shard ", s,
                                    ": worker allocation failed")));
                 }
-                if (sh.planned) {
-                    parts[s] = sh.planned->simulate(input, simLen,
-                                                    shardOpts);
-                } else if (sh.lazy) {
-                    parts[s] =
-                        sh.lazy->simulate(input, simLen, shardOpts);
-                } else {
-                    parts[s] = sh.engine->simulate(
-                        input, simLen, sh.scratch, shardOpts);
-                }
+                parts[s] =
+                    shards_[s].engine.simulate(input, simLen, shardOpts);
             });
         } catch (const StatusError &e) {
             return e.status();
@@ -308,7 +262,6 @@ ParallelRunner::simulateSharded(const uint8_t *input, size_t len) const
         merged.totalEnabled += p.totalEnabled;
         merged.lazyFlushes += p.lazyFlushes;
         merged.lazyStates += p.lazyStates;
-        merged.lazyFallbackComponents += p.lazyFallbackComponents;
         appendGlobal(reports, p.reports, shards_[s].origId);
     }
     mergeCanonical(std::move(reports), opts_.sim, merged);

@@ -4,23 +4,25 @@
  * semantics.
  *
  * The suite's engines are single-threaded by design; this layer
- * shards work along the two axes the workloads naturally expose:
+ * shards work along the two axes the workloads naturally expose.
+ * Every engine kind is a routing of one CompiledPlan (planner.hh) —
+ * kNfa runs interpreterPlan(), kLazyDfa lazyDfaPlan() and kPlanned
+ * the profiled planComponents() — compiled by compilePlan(), so both
+ * axes run on the planned executor:
  *
  *  - **Stream-level** (runBatch): a batch of independent input
  *    streams (packets, disk-image chunks, DNA reads) fans out across
- *    the pool. All workers share one const NfaEngine (or, under
- *    ParallelEngine::kPlanned, one CompiledPlan); each worker slot
- *    owns an EngineScratch (or a private LazyDfaEngine, or a
- *    PlannedSession whose lazy cache warms across that slot's
- *    streams, monolithic or chunked), so the hot path performs no
- *    per-stream O(n) allocation. Chunked kNfa streams each get a
- *    StreamingSession over the shared engine.
+ *    the pool. All workers share one CompiledPlan; each worker slot
+ *    owns a PlannedSession, fed each stream once or in chunks, whose
+ *    scratch and lazy cache stay warm across that slot's streams, so
+ *    the hot path performs no per-stream O(n) allocation.
  *
  *  - **Component-level** (simulateSharded): the automaton's connected
  *    components (activation *and* reset edges, so counters never
  *    split from their enable/reset sources) are packed into one shard
- *    per thread by size-balanced LPT, and each shard simulates the
- *    same input concurrently.
+ *    per thread by size-balanced LPT; each shard compiles its own
+ *    plan of its sub-automaton and simulates the same input
+ *    concurrently.
  *
  * Determinism guarantee: results are *canonical* — per stream,
  * reports are sorted by (offset, element, code); a batch is ordered
@@ -40,8 +42,6 @@
 #include <vector>
 
 #include "core/automaton.hh"
-#include "engine/lazy_dfa_engine.hh"
-#include "engine/nfa_engine.hh"
 #include "engine/planner.hh"
 #include "engine/report.hh"
 
@@ -49,34 +49,34 @@ namespace azoo {
 
 class ThreadPool;
 
-/** Which engine a ParallelRunner drives per stream / per shard. */
+/** Which routing a ParallelRunner plans per stream / per shard. */
 enum class ParallelEngine : uint8_t {
-    kNfa,     ///< enabled-set interpreter (NfaEngine)
-    kLazyDfa, ///< lazy-DFA hybrid (LazyDfaEngine)
-    kPlanned, ///< profile-planned per-component backends (PlannedEngine)
+    kNfa,     ///< interpreterPlan(): the enabled-set interpreter
+    kLazyDfa, ///< lazyDfaPlan(): the lazy-DFA hybrid
+    kPlanned, ///< planComponents(): profile-planned backends
 };
+
+/** The plan of @p a under @p engine's routing (profiles are inferred
+ *  for kPlanned only). */
+std::shared_ptr<const CompiledPlan>
+compilePlan(const Automaton &a, ParallelEngine engine,
+            const PlanOptions &opts = PlanOptions());
 
 /** Configuration for a ParallelRunner. */
 struct ParallelOptions {
     /** Worker threads; 0 means all hardware threads. */
     size_t threads = 0;
-    /** Batch mode: feed each stream through a StreamingSession in
-     *  chunks of this many bytes (0 = one monolithic simulate()).
-     *  Chunking never changes results; it exists to exercise and
-     *  measure the streaming path under parallelism. Chunked feeding
-     *  runs on a StreamingSession (kNfa) or PlannedSession (kPlanned);
-     *  combining it with ParallelEngine::kLazyDfa is rejected —
-     *  runBatch() marks every stream kInvalidArgument rather than
-     *  silently substituting a different engine. */
+    /** Batch mode: feed each stream to its slot's PlannedSession in
+     *  chunks of this many bytes (0 = one feed). Chunking never
+     *  changes results, for any engine kind; it exists to exercise
+     *  and measure the streaming path under parallelism. */
     size_t chunkBytes = 0;
-    /** Engine for monolithic streams and component shards. */
+    /** Routing for streams and component shards. */
     ParallelEngine engine = ParallelEngine::kNfa;
-    /** Lazy-DFA transition-cache budget (engine == kLazyDfa). Each
-     *  worker slot / shard owns a private cache of this size. */
-    size_t lazyCacheBytes = 8u << 20;
-    /** Planning knobs (engine == kPlanned). One CompiledPlan is
-     *  shared by every worker slot's PlannedSession; each shard
-     *  compiles its own. */
+    /** Plan knobs. lazyCacheBytes is the budget of each slot's and
+     *  shard's private lazy cache (kLazyDfa, kPlanned); the rest
+     *  steer planComponents() (kPlanned). One CompiledPlan is shared
+     *  by every worker slot; each shard compiles its own. */
     PlanOptions plan;
     /** Per-stream simulation options. */
     SimOptions sim;
@@ -102,14 +102,11 @@ struct BatchResult {
 
 /**
  * Parallel runner over one automaton, which need only outlive
- * construction. Construction builds only what the configured engine
- * drives: for batch mode one whole-automaton NfaEngine (kNfa), one
- * LazyDfaEngine per worker slot (kLazyDfa) or one CompiledPlan
- * (kPlanned); for sharded mode one engine of that kind per component
- * shard (cut by ComponentPartition);
- * runBatch()/simulateSharded() can then be called repeatedly (but not
- * concurrently with each other from multiple threads — the runner
- * owns one pool).
+ * construction. Construction compiles the configured kind's plan
+ * once for the batch slots and once per component shard (cut by
+ * ComponentPartition); runBatch()/simulateSharded() can then be
+ * called repeatedly (but not concurrently with each other from
+ * multiple threads — the runner owns one pool).
  */
 class ParallelRunner
 {
@@ -144,31 +141,20 @@ class ParallelRunner
     struct Shard {
         /** Shard-local element id -> id in the runner's automaton. */
         std::vector<ElementId> origId;
-        /** Engine for ParallelEngine::kNfa (else nullptr). */
-        std::unique_ptr<NfaEngine> engine;
-        /** Engine for ParallelEngine::kLazyDfa (else nullptr). */
-        std::unique_ptr<LazyDfaEngine> lazy;
-        /** Engine for ParallelEngine::kPlanned (else nullptr). */
-        std::unique_ptr<PlannedEngine> planned;
-        /** Interpreter scratch; each shard is driven by exactly one
-         *  worker at a time, so per-shard state needs no locking. */
-        mutable EngineScratch scratch;
+        /** The shard's plan, executed by exactly one worker at a
+         *  time, so its session needs no locking. */
+        PlannedEngine engine;
     };
 
     void buildShards(const Automaton &a, size_t groups);
 
     ParallelOptions opts_;
     std::unique_ptr<ThreadPool> pool_;
-    /** kNfa: shared by batch slots and chunked streams. */
-    std::shared_ptr<const NfaEngine> engine_;
-    std::vector<Shard> shards_;
+    mutable std::vector<Shard> shards_;
 
-    // Per-worker-slot mutable state for runBatch: the slot-indexed
-    // parallelFor guarantees exclusive slot ownership, so scratches,
-    // sessions and lazy caches are reused lock-free across streams.
-    mutable std::vector<EngineScratch> slotScratch_;
-    mutable std::vector<std::unique_ptr<LazyDfaEngine>> slotLazy_;
-    /** kPlanned: one session per slot, all over one CompiledPlan. */
+    /** One session per worker slot, all over one CompiledPlan: the
+     *  slot-indexed parallelFor guarantees exclusive slot ownership,
+     *  so sessions are reused lock-free across streams. */
     mutable std::vector<PlannedSession> slotSessions_;
 };
 

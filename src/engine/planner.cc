@@ -1,6 +1,7 @@
 #include "engine/planner.hh"
 
 #include <algorithm>
+#include <numeric>
 
 #include "engine/partition.hh"
 #include "engine/run_guard.hh"
@@ -156,6 +157,49 @@ planComponents(const Automaton &a,
     return plan;
 }
 
+namespace {
+
+/** Components holding a counter to @p counterBackend, the others to
+ *  @p otherBackend. */
+EnginePlan
+routeByCounters(const Automaton &a, PlanBackend counterBackend,
+                PlanBackend otherBackend)
+{
+    uint32_t count = 0;
+    const std::vector<uint32_t> comp = a.connectedComponents(count);
+    std::vector<uint8_t> hasCounter(count, 0);
+    if (counterBackend != otherBackend) {
+        for (ElementId i = 0; i < a.size(); ++i) {
+            if (a.element(i).kind == ElementKind::kCounter)
+                hasCounter[comp[i]] = 1;
+        }
+    }
+    EnginePlan plan;
+    plan.decisions.reserve(count);
+    for (uint32_t c = 0; c < count; ++c) {
+        const PlanBackend b = hasCounter[c] ? counterBackend : otherBackend;
+        plan.decisions.push_back({c, b});
+        ++plan.backendCount[static_cast<size_t>(b)];
+    }
+    return plan;
+}
+
+} // namespace
+
+EnginePlan
+interpreterPlan(const Automaton &a)
+{
+    return routeByCounters(a, PlanBackend::kInterpreter,
+                           PlanBackend::kInterpreter);
+}
+
+EnginePlan
+lazyDfaPlan(const Automaton &a)
+{
+    return routeByCounters(a, PlanBackend::kInterpreter,
+                           PlanBackend::kLazyDfa);
+}
+
 // ---------------------------------------------------------------------
 // CompiledPlan
 
@@ -163,22 +207,59 @@ CompiledPlan::CompiledPlan(
     const Automaton &a,
     const std::vector<analysis::ComponentProfile> &profiles,
     const PlanOptions &opts)
-    : plan_(planComponents(a, profiles, opts)), opts_(opts)
+    : CompiledPlan(a, planComponents(a, profiles, opts), profiles, opts)
+{
+}
+
+CompiledPlan::CompiledPlan(
+    const Automaton &a, EnginePlan plan,
+    const std::vector<analysis::ComponentProfile> &profiles,
+    const PlanOptions &opts)
+    : plan_(std::move(plan)), opts_(opts)
 {
     // Counted here, once per compile — never per executor or session.
     notePlan(plan_);
 
+    const size_t interpreted =
+        plan_.backendCount[static_cast<size_t>(PlanBackend::kInterpreter)];
+    if (interpreted != 0 && interpreted == plan_.decisions.size()) {
+        // Everything on the interpreter: the group is the automaton
+        // itself, so compile it without cutting a copy.
+        interp_.toGlobal.resize(a.size());
+        std::iota(interp_.toGlobal.begin(), interp_.toGlobal.end(),
+                  ElementId(0));
+        interp_.engine = std::make_shared<const NfaEngine>(a);
+        return;
+    }
+
     // One split cuts a group per interpreted backend (group index =
     // backend); lazy and skipped components are never copied.
     const ComponentPartition parts(a);
+    if (plan_.decisions.size() != parts.count())
+        panic("CompiledPlan: the plan does not match the automaton");
     std::vector<uint32_t> byBackend(parts.count(),
                                     ComponentPartition::kNoGroup);
     std::vector<uint8_t> onLazy(parts.count(), 0);
+    std::vector<const analysis::ComponentProfile *> prefiltered;
     for (const ComponentDecision &d : plan_.decisions) {
         if (d.backend == PlanBackend::kLazyDfa)
             onLazy[d.componentId] = 1;
         else if (d.backend != PlanBackend::kSkip)
             byBackend[d.componentId] = static_cast<uint32_t>(d.backend);
+        if (d.backend != PlanBackend::kPrefilter &&
+            d.backend != PlanBackend::kAnchoredPrefix)
+            continue;
+        // Only these two backends read their component's profile.
+        if (d.componentId >= profiles.size())
+            panic("CompiledPlan: no profile for a prefilter or "
+                  "anchored component");
+        const analysis::ComponentProfile &p = profiles[d.componentId];
+        if (d.backend == PlanBackend::kPrefilter) {
+            prefiltered.push_back(&p);
+        } else {
+            anchoredPrefix_ = std::max<uint64_t>(
+                anchoredPrefix_, uint64_t(p.maxActivationDepth) + 2);
+        }
     }
     std::vector<ComponentPartition::Group> groups =
         parts.split(byBackend, kPlanBackends);
@@ -191,34 +272,25 @@ CompiledPlan::CompiledPlan(
         return out;
     };
 
-    // Prefilter group: one scan literal + window radius per component.
-    ComponentPartition::Group &pre =
-        groups[static_cast<size_t>(PlanBackend::kPrefilter)];
-    if (!pre.toGlobal.empty()) {
+    // Prefilter group: one scan literal + window radius per component
+    // (in component order, as the group's elements are).
+    if (!prefiltered.empty()) {
         std::vector<PrefilterPattern> pats;
-        for (const analysis::ComponentProfile &p : profiles) {
-            if (byBackend[p.componentId] !=
-                static_cast<uint32_t>(PlanBackend::kPrefilter))
-                continue;
+        for (const analysis::ComponentProfile *p : prefiltered) {
             PrefilterPattern pat;
-            pat.literal = p.mandatoryLiteral.substr(0, kMaxScanLiteral);
+            pat.literal = p->mandatoryLiteral.substr(0, kMaxScanLiteral);
             // +2 slop over the exact reach so off-by-one drift in the
             // length facts can never clip a match.
-            pat.radius = p.maxMatchLen + 2;
+            pat.radius = p->maxMatchLen + 2;
             pats.push_back(std::move(pat));
         }
+        ComponentPartition::Group &pre =
+            groups[static_cast<size_t>(PlanBackend::kPrefilter)];
         prefilter_ = std::make_unique<PrefilteredNfa>(
             pre.sub, std::move(pre.toGlobal), std::move(pats));
     }
 
     anchored_ = take(PlanBackend::kAnchoredPrefix);
-    for (const analysis::ComponentProfile &p : profiles) {
-        if (byBackend[p.componentId] ==
-            static_cast<uint32_t>(PlanBackend::kAnchoredPrefix)) {
-            anchoredPrefix_ = std::max<uint64_t>(
-                anchoredPrefix_, uint64_t(p.maxActivationDepth) + 2);
-        }
-    }
     interp_ = take(PlanBackend::kInterpreter);
 
     std::vector<ElementId> lazyMembers;
@@ -293,6 +365,7 @@ PlannedSession::PlannedSession(std::shared_ptr<const CompiledPlan> plan)
     if (p.lazy()) {
         lazy_ = std::make_unique<LazyDfaCache>(*p.lazy(),
                                                p.options().lazyCacheBytes);
+        lazyOnly_ = !prefilter_ && !anchored_ && !interp_;
     }
 }
 
@@ -302,8 +375,15 @@ PlannedSession::feed(const uint8_t *data, size_t len)
     if (stopped())
         return 0;
     const uint64_t prefix = plan_->anchoredPrefix();
+    // A sole lazy lane emits canonical reports, so it tallies under
+    // the caller's options; otherwise every lane records everything
+    // for results() to merge. The session polls the guard.
     SimOptions laneOpts = recordAllOptions(SimOptions());
     laneOpts.computeActiveSet = options.computeActiveSet;
+    if (lazyOnly_) {
+        laneOpts = options;
+        laneOpts.guard = nullptr;
+    }
     for (StreamingSession *lane : {anchored_.get(), interp_.get()}) {
         if (lane)
             lane->options.computeActiveSet = options.computeActiveSet;
@@ -350,9 +430,34 @@ PlannedSession::feed(const uint8_t *data, size_t len)
     return done;
 }
 
+void
+PlannedSession::finishLazyOnly(SimResult &out) const
+{
+    out.symbols = t_;
+    out.guardStatus = guardStatus_;
+    out.lazyFlushes = lazy_->flushes() - lazyFlushes0_;
+    out.lazyStates = lazy_->states();
+}
+
+SimResult
+PlannedSession::takeResults()
+{
+    if (!lazyOnly_)
+        return results();
+    SimResult out = std::move(lazyResult_);
+    lazyResult_ = SimResult();
+    finishLazyOnly(out);
+    return out;
+}
+
 SimResult
 PlannedSession::results() const
 {
+    if (lazyOnly_) {
+        SimResult out = lazyResult_;
+        finishLazyOnly(out);
+        return out;
+    }
     const CompiledPlan &p = *plan_;
     SimResult out;
     out.symbols = t_;
@@ -447,7 +552,7 @@ PlannedEngine::simulate(const uint8_t *input, size_t len,
     session_.reset();
     session_.options = opts;
     session_.feed(input, len);
-    return session_.results();
+    return session_.takeResults();
 }
 
 } // namespace azoo

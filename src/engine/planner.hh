@@ -1,23 +1,33 @@
 /**
  * @file
- * Profile-driven per-component engine planning.
+ * Per-component engine plans: the one way every multi-backend engine
+ * kind runs.
  *
  * PR 7's analysis layer computes a ComponentProfile for every
  * connected component — class (literal-chain / bounded-regex /
  * counter-coupled / cyclic-unbounded), mandatory literal factor,
  * match-length and anchoring intervals, a determinization blowup
- * estimate. This module turns those facts into wall-clock throughput:
- * planComponents() assigns each component the cheapest backend that
- * is exact for it, CompiledPlan compiles the assignment once, and
+ * estimate. An EnginePlan routes each component to a backend, and
+ * there are three routings, one per engine kind:
+ *
+ *  - planComponents() (`--engine auto`) assigns each component the
+ *    cheapest backend that is exact for it, from its profile;
+ *  - lazyDfaPlan() (`--engine lazydfa`, LazyDfaEngine) routes counter
+ *    components to the interpreter and all others to the lazy DFA;
+ *  - interpreterPlan() (`--engine nfa` sessions and runners) routes
+ *    everything to the interpreter.
+ *
+ * CompiledPlan compiles whichever routing it is given, once, and
  * PlannedEngine (block) / PlannedSession (streaming) execute that one
- * shared plan with results bit-identical (on the semantic
- * fields: symbols, reports, reportCount, reportingCycles, byCode,
+ * shared plan with results bit-identical (on the semantic fields:
+ * symbols, reports, reportCount, reportingCycles, byCode,
  * guardStatus) to the serial NfaEngine after canonicalizeReports().
  * totalEnabled is engine-defined, as for MultiDfaEngine: skipped
- * regions and never-simulated components contribute nothing.
+ * regions and never-simulated components contribute nothing; the nfa
+ * and lazydfa routings skip nothing, so theirs is NfaEngine's.
  *
- * The decision table (docs/ARCHITECTURE.md "Engine planning &
- * prefilters" is the narrative version):
+ * The profile-driven decision table (docs/ARCHITECTURE.md "Engine
+ * planning & prefilters" is the narrative version):
  *
  *   reportCount == 0                  -> kSkip        (never reports)
  *   counter-coupled                   -> kInterpreter (exact counters)
@@ -30,16 +40,20 @@
  *   everything else                   -> kInterpreter
  *
  * Execution: there is one executor, PlannedSession, which feeds every
- * chunk to the four groups in turn — prefilter, anchored (only up to
+ * chunk to the plan's lanes in turn — prefilter, anchored (only up to
  * the anchored prefix), lazy DFA and interpreter — each resuming its
  * own kernel from per-session state. Block execution is a session fed
- * once: PlannedEngine::simulate() is reset(), feed(), results().
+ * once: PlannedEngine::simulate() is reset(), feed(), results(). The
+ * lanes record every report and results() merges them canonically,
+ * except when the lazy DFA is the only lane: its reports already come
+ * out canonical, so it runs under the caller's options and its
+ * tallies are the result.
  *
  * Guard semantics: the session is the only poll clock of a planned
  * run. It polls the caller's RunGuard every kGuardCheckIntervalSymbols
  * stream symbols (the serial engines' clock, whatever the chunking)
- * and feeds the groups in slices that end on those poll points, so a
- * stop truncates every group at the same prefix the serial engine
+ * and feeds the lanes in slices that end on those poll points, so a
+ * stop truncates every lane at the same prefix the serial engine
  * would.
  */
 
@@ -120,13 +134,22 @@ EnginePlan planComponents(const Automaton &a,
                               &profiles,
                           const PlanOptions &opts = PlanOptions());
 
+/** Every component of @p a on the interpreter. */
+EnginePlan interpreterPlan(const Automaton &a);
+
+/** Components of @p a that hold a counter on the interpreter (counter
+ *  values are not part of a DFA state), every other one on the lazy
+ *  DFA. */
+EnginePlan lazyDfaPlan(const Automaton &a);
+
 /**
  * A compiled EnginePlan: everything about a plan that does not change
  * while it runs, built once and shared (through a
  * `shared_ptr<const CompiledPlan>`) by every PlannedEngine and
  * PlannedSession executing it — block and streaming alike. One
  * ComponentPartition split cuts the interpreted groups, each with its
- * `toGlobal` remap and compiled NfaEngine; the lazy group compiles
+ * `toGlobal` remap and compiled NfaEngine (a group holding the whole
+ * automaton compiles it without a copy); the lazy group compiles
  * straight into LazyDfaTables (reports carry original ids, so it needs
  * no remap). No automaton is kept.
  *
@@ -149,9 +172,16 @@ class CompiledPlan
     };
 
     /** Plan @p a from its profiles (analysis::inferProfiles(a)) and
-     *  compile every group. The automaton is not referenced after
-     *  construction. */
+     *  compile every group: planComponents() plus the constructor
+     *  below. The automaton is not referenced after construction. */
     CompiledPlan(const Automaton &a,
+                 const std::vector<analysis::ComponentProfile> &profiles,
+                 const PlanOptions &opts = PlanOptions());
+
+    /** Compile the routing @p plan of @p a. Only prefilter and
+     *  anchored components read their profile (so the nfa and lazydfa
+     *  routings pass none); a missing one is a panic. */
+    CompiledPlan(const Automaton &a, EnginePlan plan,
                  const std::vector<analysis::ComponentProfile> &profiles,
                  const PlanOptions &opts = PlanOptions());
 
@@ -200,6 +230,9 @@ class CompiledPlan
  * holds only its own state, so many sessions (on any threads) share
  * one compile; the lazy cache is the only part that grows, up to the
  * plan's lazyCacheBytes, and it stays warm across reset().
+ *
+ * It is also the serve layer's match session (serve::MatchSession)
+ * and every ParallelRunner slot, whatever the engine kind.
  */
 class PlannedSession
 {
@@ -234,6 +267,11 @@ class PlannedSession
      *  cached now. */
     SimResult results() const;
 
+    /** results(), moving out what it would copy (a sole lazy lane's
+     *  report vector): the block callers' form. The session must be
+     *  reset() before it is fed again. */
+    SimResult takeResults();
+
     uint64_t offset() const { return t_; }
 
     /** Back to start-of-stream; results cleared, lazy cache kept. */
@@ -255,13 +293,23 @@ class PlannedSession
         return prefilter_ ? prefilter_->stats() : kNone;
     }
 
+    /** The lazy lane's transition cache (null when the plan has no
+     *  lazy group). */
+    const LazyDfaCache *lazyCache() const { return lazy_.get(); }
+
     SimOptions options;
 
   private:
+    /** The lazy-result fields a sole lazy lane's tallies lack. */
+    void finishLazyOnly(SimResult &out) const;
+
     std::shared_ptr<const CompiledPlan> plan_;
     std::unique_ptr<PrefilteredNfa::Session> prefilter_;
     std::unique_ptr<StreamingSession> anchored_, interp_;
     std::unique_ptr<LazyDfaCache> lazy_;
+    /** The lazy group is the plan's only lane: it runs under the
+     *  caller's options, and its tallies are the result. */
+    bool lazyOnly_ = false;
     /** The lazy group's reports and active set since reset(). */
     SimResult lazyResult_;
     /** lazy_->flushes() at reset(). */
@@ -311,6 +359,13 @@ class PlannedEngine
     }
 
     const EnginePlan &plan() const { return plan_->plan(); }
+
+    /** The executed plan. */
+    const CompiledPlan &compiled() const { return *plan_; }
+
+    /** The session's lazy transition cache (null without a lazy
+     *  group). */
+    const LazyDfaCache *lazyCache() const { return session_.lazyCache(); }
 
     /** Scan literals the prefilter backend sweeps for (0 when no
      *  component was planned onto it). */

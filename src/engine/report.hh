@@ -54,7 +54,7 @@ struct SimOptions {
     /** Stop recording (not counting) reports past this many. */
     uint64_t reportRecordLimit = ~uint64_t(0);
     /** Optional stop-conditions (deadline / symbol budget /
-     *  cancellation), polled coarsely by NfaEngine and LazyDfaEngine;
+     *  cancellation), polled coarsely by NfaEngine and PlannedSession;
      *  see run_guard.hh. The guard must outlive the run; one guard
      *  may be shared across concurrent runs. */
     const RunGuard *guard = nullptr;

@@ -247,7 +247,7 @@ Server::handleOpen(Conn &c, const Frame &f)
     c.session = c.pool->acquire();
     c.guard.setDeadlineMs(opts_.limits.sessionDeadlineMs);
     c.guard.setSymbolBudget(opts_.limits.sessionSymbolBudget);
-    SimOptions &so = c.session->options();
+    SimOptions &so = c.session->options;
     so.guard = &c.guard;
     so.reportRecordLimit = opts_.limits.maxReportRecords;
     c.deadlineAt = TimePoint{}; // handshake deadline met

@@ -8,70 +8,6 @@ namespace serve {
 
 namespace {
 
-/** MatchSession over the enabled-set interpreter. */
-class NfaMatchSession final : public MatchSession
-{
-  public:
-    explicit NfaMatchSession(std::shared_ptr<const NfaEngine> engine)
-        : s_(std::move(engine))
-    {
-    }
-
-    size_t
-    feed(const uint8_t *data, size_t len) override
-    {
-        return s_.feed(data, len);
-    }
-    bool stopped() const override { return s_.stopped(); }
-    SimResult
-    results() const override
-    {
-        SimResult r = s_.results();
-        canonicalizeReports(r);
-        return r;
-    }
-    uint64_t offset() const override { return s_.offset(); }
-    void reset() override { s_.reset(); }
-    SimOptions &options() override { return s_.options; }
-    size_t
-    footprintBytes() const override
-    {
-        return sizeof(*this) + s_.footprintBytes();
-    }
-
-  private:
-    StreamingSession s_;
-};
-
-/** MatchSession over the profile-routed planned engine. */
-class PlannedMatchSession final : public MatchSession
-{
-  public:
-    explicit PlannedMatchSession(std::shared_ptr<const CompiledPlan> plan)
-        : s_(std::move(plan))
-    {
-    }
-
-    size_t
-    feed(const uint8_t *data, size_t len) override
-    {
-        return s_.feed(data, len);
-    }
-    bool stopped() const override { return s_.stopped(); }
-    SimResult results() const override { return s_.results(); }
-    uint64_t offset() const override { return s_.offset(); }
-    void reset() override { s_.reset(); }
-    SimOptions &options() override { return s_.options; }
-    size_t
-    footprintBytes() const override
-    {
-        return sizeof(*this) + s_.footprintBytes();
-    }
-
-  private:
-    PlannedSession s_;
-};
-
 /**
  * Resident-size estimate for one engine session: its own state only.
  * The compiled tables (engine or plan) are shared by every session of
@@ -129,30 +65,30 @@ MatchSessionPool::acquire()
         free_.pop_back();
         // Fresh options for the new client; release() already reset
         // the engine state.
-        s->options() = SimOptions();
+        s->options = SimOptions();
         return s;
     }
     ++created_;
     // The generation's one compile, shared by every session. Deferred
     // to the first acquire so that building a pool (at start-up, or
     // on a reload worker) stays cheap.
-    if (engine_ == ServeEngine::kPlanned) {
-        if (!plan_) {
-            // No lazy cache in pooled sessions: a cache is per
-            // session, and Snort's fills its 8 MiB budget (seed-1
-            // traced layerbench run: engine.lazy.flushes 0.29 per
-            // 1 MiB scan), so it would add about 8 MiB of RSS per live
-            // session. Cyclic components are interpreted instead.
-            PlanOptions popts = gen_->spec.plan;
-            popts.lazyCacheBytes = 0;
-            plan_ = std::make_shared<const CompiledPlan>(
-                gen_->automaton, gen_->profiles, popts);
-        }
-        return std::make_unique<PlannedMatchSession>(plan_);
+    if (!plan_) {
+        // No lazy cache in pooled sessions: a cache is per session,
+        // and Snort's fills its 8 MiB budget (seed-1 traced
+        // layerbench run: engine.lazy.flushes 0.29 per 1 MiB scan),
+        // so it would add about 8 MiB of RSS per live session. Cyclic
+        // components are interpreted instead.
+        PlanOptions popts = gen_->spec.plan;
+        popts.lazyCacheBytes = 0;
+        const Automaton &a = gen_->automaton;
+        plan_ = engine_ == ServeEngine::kPlanned
+            ? std::make_shared<const CompiledPlan>(a, gen_->profiles,
+                                                   popts)
+            : std::make_shared<const CompiledPlan>(
+                  a, interpreterPlan(a),
+                  std::vector<analysis::ComponentProfile>(), popts);
     }
-    if (!nfa_)
-        nfa_ = std::make_shared<const NfaEngine>(gen_->automaton);
-    return std::make_unique<NfaMatchSession>(nfa_);
+    return std::make_unique<MatchSession>(plan_);
 }
 
 void

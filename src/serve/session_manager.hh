@@ -1,19 +1,19 @@
 /**
  * @file
- * Session lifecycle for the match service: the engine-session
- * abstraction, a reset-reuse pool, and the admission controller.
+ * Session lifecycle for the match service: the match session, a
+ * reset-reuse pool, and the admission controller.
  *
  * Three separable robustness mechanisms live here, used by
  * serve::Server but testable without sockets:
  *
- *  - MatchSession erases the difference between the two streaming
- *    engines (StreamingSession for --engine nfa, PlannedSession for
- *    --engine auto) behind feed/results/reset, so the server's data
- *    path has exactly one shape.
+ *  - MatchSession is a PlannedSession: both serve engines are
+ *    routings of one CompiledPlan (interpreterPlan() for --engine nfa,
+ *    the profiled plan for --engine auto), so the server's data path
+ *    has exactly one shape and no virtual calls.
  *
  *  - MatchSessionPool recycles engine sessions across client
- *    sessions. The pool compiles its generation once (one NfaEngine
- *    or one CompiledPlan, on the first acquire()) and every session
+ *    sessions. The pool compiles its generation once (one
+ *    CompiledPlan, on the first acquire()) and every session
  *    borrows it, holding only per-stream state; reset() is
  *    O(counters + start states), so a pooled session costs one
  *    scratch allocation per concurrency slot. The pool's correctness
@@ -43,7 +43,6 @@
 #include "analysis/profile.hh"
 #include "engine/planner.hh"
 #include "engine/report.hh"
-#include "engine/streaming.hh"
 #include "serve/protocol.hh"
 
 namespace azoo {
@@ -71,43 +70,13 @@ struct ServeLimits {
     size_t maxReportRecords = 4096;
 };
 
-/** Engine-agnostic streaming match session (one client stream). */
-class MatchSession
-{
-  public:
-    virtual ~MatchSession() = default;
-
-    /** Feed a chunk; returns bytes consumed (short exactly when the
-     *  guard in options() stopped the session). */
-    virtual size_t feed(const uint8_t *data, size_t len) = 0;
-
-    /** True once the guard stopped this session. */
-    virtual bool stopped() const = 0;
-
-    /** Canonical results over the consumed prefix. */
-    virtual SimResult results() const = 0;
-
-    /** Stream position (symbols consumed). */
-    virtual uint64_t offset() const = 0;
-
-    /** Back to a fresh start-of-stream state (results cleared,
-     *  guard stop cleared). */
-    virtual void reset() = 0;
-
-    /** Simulation options (guard, record caps); set before feeding. */
-    virtual SimOptions &options() = 0;
-
-    /** Measured resident footprint of this session's own state: the
-     *  sum of its container capacities (scratch, window buffers,
-     *  report vectors). The shared compiled tables are not included.
-     *  The admission estimate is validated against this in tests. */
-    virtual size_t footprintBytes() const = 0;
-};
+/** One client stream: a PlannedSession over the pool's plan. */
+using MatchSession = PlannedSession;
 
 /** Which engine backs pooled sessions. */
 enum class ServeEngine : uint8_t {
-    kNfa,     ///< StreamingSession (enabled-set interpreter)
-    kPlanned, ///< PlannedSession (profile-routed prefilter plan)
+    kNfa,     ///< interpreterPlan() (enabled-set interpreter)
+    kPlanned, ///< the profile-routed plan, without a lazy cache
 };
 
 /**
@@ -170,9 +139,8 @@ class MatchSessionPool
   private:
     std::shared_ptr<const CompiledRuleset> gen_;
     ServeEngine engine_;
-    /** The generation's compile (the one matching engine_), built by
-     *  the first acquire(); sessions pin it too. */
-    std::shared_ptr<const NfaEngine> nfa_;
+    /** The generation's compile (engine_'s routing), built by the
+     *  first acquire(); sessions pin it too. */
     std::shared_ptr<const CompiledPlan> plan_;
     std::vector<std::unique_ptr<MatchSession>> free_;
     size_t created_ = 0;

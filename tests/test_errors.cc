@@ -555,36 +555,16 @@ alternatingInput(size_t n)
     return in;
 }
 
-TEST(ParallelErrors, ChunkedBatchRejectsLazyDfa)
-{
-    Automaton a = twoComponentAutomaton();
-    ParallelOptions popts;
-    popts.threads = 2;
-    popts.chunkBytes = 64;
-    popts.engine = ParallelEngine::kLazyDfa;
-    ParallelRunner runner(a, popts);
-
-    const auto streams = makeStreams(4);
-    BatchResult br = runner.runBatch(streams);
-    EXPECT_FALSE(br.allOk());
-    EXPECT_EQ(br.failedStreams, streams.size());
-    ASSERT_EQ(br.perStreamStatus.size(), streams.size());
-    for (size_t i = 0; i < streams.size(); ++i) {
-        EXPECT_EQ(br.perStreamStatus[i].code(),
-                  ErrorCode::kInvalidArgument)
-            << i;
-        EXPECT_EQ(br.perStream[i].symbols, 0u) << i;
-    }
-    EXPECT_EQ(br.totalSymbols, 0u);
-    EXPECT_EQ(br.totalReports, 0u);
-}
-
-TEST(ParallelErrors, ChunkedBatchHonoursGuardBudget)
+/** A chunked, guarded batch under @p engine stops every stream where
+ *  the serial guarded run stops, with the serial prefix's results. */
+void
+expectChunkedBatchHonoursGuardBudget(ParallelEngine engine)
 {
     Automaton a = twoComponentAutomaton();
     ParallelOptions popts;
     popts.threads = 2;
     popts.chunkBytes = 512;
+    popts.engine = engine;
     RunGuard guard;
     guard.setSymbolBudget(2048);
     popts.sim.guard = &guard;
@@ -616,6 +596,18 @@ TEST(ParallelErrors, ChunkedBatchHonoursGuardBudget)
         EXPECT_EQ(r.reports, ref.reports) << i;
         EXPECT_EQ(r.totalEnabled, ref.totalEnabled) << i;
     }
+}
+
+TEST(ParallelErrors, ChunkedBatchHonoursGuardBudget)
+{
+    expectChunkedBatchHonoursGuardBudget(ParallelEngine::kNfa);
+}
+
+TEST(ParallelErrors, ChunkedLazyBatchHonoursGuardBudget)
+{
+    // Counter-free, so the lazy DFA is the plan's only lane: it runs
+    // under the session's poll clock with no merge.
+    expectChunkedBatchHonoursGuardBudget(ParallelEngine::kLazyDfa);
 }
 
 TEST(ParallelErrors, ShardedTruncationCountersMatchSerialPrefix)

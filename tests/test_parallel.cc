@@ -144,7 +144,7 @@ TEST_P(ParallelVsSerial, ShardedMatchesSerial)
     // that large components flush mid-stream: still bit-identical.
     ParallelOptions lazyOpts = popts;
     lazyOpts.engine = ParallelEngine::kLazyDfa;
-    lazyOpts.lazyCacheBytes = 64 * 1024;
+    lazyOpts.plan.lazyCacheBytes = 64 * 1024;
     ParallelRunner lazyRunner(b.automaton, lazyOpts);
     SimResult lgot = lazyRunner.simulateSharded(b.input.data(), simLen);
     EXPECT_EQ(lgot.reportCount, expect.reportCount);
@@ -231,16 +231,26 @@ TEST(ParallelRunner, ChunkedBatchEqualsMonolithicBatch)
     ParallelRunner chunkedRunner(b.automaton, chunked);
     BatchResult got = chunkedRunner.runBatch(streams);
 
-    ASSERT_EQ(got.perStream.size(), want.perStream.size());
-    for (size_t i = 0; i < want.perStream.size(); ++i) {
-        EXPECT_EQ(got.perStream[i].reports, want.perStream[i].reports)
-            << i;
-        EXPECT_EQ(got.perStream[i].totalEnabled,
-                  want.perStream[i].totalEnabled)
-            << i;
+    // The lazy-DFA hybrid streams too: its counter components ride
+    // the plan's interpreter lane across the same feed boundaries.
+    ParallelOptions lazyChunked = chunked;
+    lazyChunked.engine = ParallelEngine::kLazyDfa;
+    ParallelRunner lazyRunner(b.automaton, lazyChunked);
+    BatchResult lazyGot = lazyRunner.runBatch(streams);
+
+    for (const BatchResult *br : {&got, &lazyGot}) {
+        ASSERT_TRUE(br->allOk());
+        ASSERT_EQ(br->perStream.size(), want.perStream.size());
+        for (size_t i = 0; i < want.perStream.size(); ++i) {
+            EXPECT_EQ(br->perStream[i].reports, want.perStream[i].reports)
+                << i;
+            EXPECT_EQ(br->perStream[i].totalEnabled,
+                      want.perStream[i].totalEnabled)
+                << i;
+        }
+        EXPECT_EQ(br->totalSymbols, want.totalSymbols);
+        EXPECT_EQ(br->totalReports, want.totalReports);
     }
-    EXPECT_EQ(got.totalSymbols, want.totalSymbols);
-    EXPECT_EQ(got.totalReports, want.totalReports);
 }
 
 TEST(ParallelRunner, ZeroLengthStreams)
@@ -337,11 +347,18 @@ TEST(ParallelRunner, LazyRunnerCompilesNoInterpreter)
     obs::Registry &reg = obs::Registry::global();
     for (size_t threads : {size_t(1), size_t(3)}) {
         const uint64_t compiles0 = reg.counterValue("engine.nfa.compiles");
+        const uint64_t lazy0 =
+            reg.counterValue("planner.assignments.lazy-dfa");
         ParallelOptions popts;
         popts.threads = threads;
         popts.engine = ParallelEngine::kLazyDfa;
         ParallelRunner runner(a, popts);
         EXPECT_EQ(reg.counterValue("engine.nfa.compiles"), compiles0)
+            << threads << " threads";
+        // One plan for the slots (three components) plus the shards'
+        // plans (three components between them), every one lazy.
+        EXPECT_EQ(reg.counterValue("planner.assignments.lazy-dfa"),
+                  lazy0 + 6)
             << threads << " threads";
         EXPECT_EQ(runner.simulateSharded(in).reports, want.reports);
         const BatchResult br = runner.runBatch({in});

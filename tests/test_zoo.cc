@@ -130,6 +130,15 @@ TEST_P(ZooEngineEquivalence, NfaAndDfaReportIdentically)
     };
     EXPECT_EQ(sorted(nfa.simulate(b.input)),
               sorted(dfa.simulate(b.input)));
+
+    // The tallies agree too, with and without a lazy-DFA fallback.
+    SimOptions opts;
+    opts.countByCode = true;
+    const SimResult want = nfa.simulate(b.input, opts);
+    const SimResult got = dfa.simulate(b.input, opts);
+    EXPECT_EQ(want.reportCount, got.reportCount);
+    EXPECT_EQ(want.reportingCycles, got.reportingCycles);
+    EXPECT_EQ(want.byCode, got.byCode);
 }
 
 /** The lazy-DFA hybrid is bit-identical to the interpreter on every

@@ -38,14 +38,14 @@
  * scan the input concurrently (component-level parallelism). With
  * --batch, --input is a comma-separated list of files, each an
  * independent stream fanned out across the pool (stream-level
- * parallelism); --chunk feeds each stream through a StreamingSession
- * in chunks of the given size instead of one monolithic pass. Either
+ * parallelism); --chunk feeds each stream to a PlannedSession in
+ * chunks of the given size instead of one monolithic pass. Either
  * way the reports are byte-identical to a serial run (canonical
  * order). Parallel paths take --engine nfa, lazydfa, or auto. --chunk
  * also works single-stream (without --batch): the input is fed
- * through one StreamingSession (or PlannedSession under --engine
- * auto); it requires --engine nfa or auto and --threads 1 (the
- * lazy-DFA engine's counter fallback has no streaming form).
+ * through one PlannedSession over the engine's plan (nfa, lazydfa
+ * and auto are routings of one CompiledPlan); it requires one of
+ * those engines and --threads 1.
  *
  * --metrics prints the azoo::obs registry snapshot (JSON) after the
  * run; --metrics=FILE writes it to FILE instead.
@@ -64,7 +64,6 @@
 #include "engine/parallel_runner.hh"
 #include "engine/planner.hh"
 #include "engine/run_guard.hh"
-#include "engine/streaming.hh"
 #include "obs/obs.hh"
 #include "tool_common.hh"
 #include "util/cli.hh"
@@ -243,7 +242,14 @@ main(int argc, char **argv)
     const auto threads =
         static_cast<size_t>(cli.getInt("threads", 1));
     const bool batch = cli.getBool("batch");
-    if ((batch || threads > 1) && engine != "nfa" && !lazy && !planned)
+    const auto chunkBytes =
+        static_cast<size_t>(cli.getInt("chunk", 0));
+    // The engines that are routings of one CompiledPlan.
+    const bool routed = engine == "nfa" || lazy || planned;
+    const ParallelEngine kind = planned ? ParallelEngine::kPlanned
+                                : lazy  ? ParallelEngine::kLazyDfa
+                                        : ParallelEngine::kNfa;
+    if ((batch || threads > 1) && !routed)
         tool::usageError("azoo_run: --batch/--threads require "
                          "--engine nfa, lazydfa, or auto");
 
@@ -257,12 +263,8 @@ main(int argc, char **argv)
         }
         ParallelOptions popts;
         popts.threads = threads;
-        popts.chunkBytes =
-            static_cast<size_t>(cli.getInt("chunk", 0));
-        popts.engine = planned ? ParallelEngine::kPlanned
-                       : lazy  ? ParallelEngine::kLazyDfa
-                               : ParallelEngine::kNfa;
-        popts.lazyCacheBytes = cacheBytes;
+        popts.chunkBytes = chunkBytes;
+        popts.engine = kind;
         popts.plan = planOpts;
         popts.sim = opts;
         ParallelRunner runner(graph(), popts);
@@ -293,15 +295,10 @@ main(int argc, char **argv)
         return br.allOk() ? tool::kExitOk : tool::kExitBadData;
     }
 
-    const auto chunkBytes =
-        static_cast<size_t>(cli.getInt("chunk", 0));
     if (chunkBytes != 0) {
-        // Mirror the runBatch rejection instead of silently
-        // substituting an engine.
-        if (engine != "nfa" && !planned)
-            tool::usageError("azoo_run: --chunk requires --engine nfa "
-                             "or auto (the lazy-DFA engine's counter "
-                             "fallback has no streaming form)");
+        if (!routed)
+            tool::usageError("azoo_run: --chunk requires --engine nfa, "
+                             "lazydfa, or auto");
         if (threads > 1)
             tool::usageError("azoo_run: --chunk with --threads > 1 "
                              "requires --batch");
@@ -310,25 +307,8 @@ main(int argc, char **argv)
     auto input = loadBytes(ipath);
     Timer timer;
     SimResult r;
-    if (chunkBytes != 0 && planned) {
-        PlannedSession sess(graph(), planOpts);
-        sess.options = opts;
-        timer.reset();
-        for (size_t pos = 0; pos < input.size();) {
-            const size_t want =
-                std::min(chunkBytes, input.size() - pos);
-            const size_t got = sess.feed(input.data() + pos, want);
-            pos += got;
-            if (got < want)
-                break;
-        }
-        r = sess.results();
-        const PrefilterStats &pf = sess.prefilterStats();
-        std::cout << "planned " << sess.plan().census() << ": "
-                  << pf.candidates << " prefilter candidates, "
-                  << pf.skippedBytes << " bytes skipped\n";
-    } else if (chunkBytes != 0) {
-        StreamingSession sess(graph());
+    if (chunkBytes != 0) {
+        PlannedSession sess(compilePlan(graph(), kind, planOpts));
         sess.options = opts;
         timer.reset();
         for (size_t pos = 0; pos < input.size();) {
@@ -342,13 +322,16 @@ main(int argc, char **argv)
                 break;
         }
         r = sess.results();
-    } else if ((engine == "nfa" || lazy || planned) && threads > 1) {
+        if (planned) {
+            const PrefilterStats &pf = sess.prefilterStats();
+            std::cout << "planned " << sess.plan().census() << ": "
+                      << pf.candidates << " prefilter candidates, "
+                      << pf.skippedBytes << " bytes skipped\n";
+        }
+    } else if (threads > 1) {
         ParallelOptions popts;
         popts.threads = threads;
-        popts.engine = planned ? ParallelEngine::kPlanned
-                       : lazy  ? ParallelEngine::kLazyDfa
-                               : ParallelEngine::kNfa;
-        popts.lazyCacheBytes = cacheBytes;
+        popts.engine = kind;
         popts.plan = planOpts;
         popts.sim = opts;
         ParallelRunner runner(graph(), popts);
