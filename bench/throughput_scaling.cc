@@ -113,8 +113,7 @@ main(int argc, char **argv)
     for (size_t threads : counts) {
         ParallelOptions popts;
         popts.threads = threads;
-        popts.engine = lazy ? ParallelEngine::kLazyDfa
-                            : ParallelEngine::kNfa;
+        popts.engine = lazy ? EngineKind::kLazyDfa : EngineKind::kNfa;
         popts.sim = sim;
         ParallelRunner runner(b.automaton, popts);
 

@@ -337,9 +337,7 @@ LazyDfaEngine::LazyDfaEngine(const Automaton &a,
     PlanOptions po;
     po.lazyCacheBytes = opts.cacheBytes;
     engine_ = std::make_unique<PlannedEngine>(
-        std::make_shared<const CompiledPlan>(
-            a, lazyDfaPlan(a), std::vector<analysis::ComponentProfile>(),
-            po));
+        compilePlan(a, EngineKind::kLazyDfa, po));
     tables_ = engine_->compiled().lazy();
     cache_ = engine_->lazyCache();
     fallbackComponents_ = engine_->plan().backendCount[static_cast<size_t>(

@@ -35,24 +35,6 @@ feedChunks(PlannedSession &sess, const SimOptions &opts,
 
 } // namespace
 
-std::shared_ptr<const CompiledPlan>
-compilePlan(const Automaton &a, ParallelEngine engine,
-            const PlanOptions &opts)
-{
-    if (engine == ParallelEngine::kPlanned) {
-        // Profiles are per-automaton: a shard's plan infers its own
-        // over its sub-automaton (construction-time only).
-        return std::make_shared<const CompiledPlan>(
-            a, analysis::inferProfiles(a, opts.infer), opts);
-    }
-    EnginePlan routing = engine == ParallelEngine::kNfa
-        ? interpreterPlan(a)
-        : lazyDfaPlan(a);
-    return std::make_shared<const CompiledPlan>(
-        a, std::move(routing), std::vector<analysis::ComponentProfile>(),
-        opts);
-}
-
 ParallelRunner::ParallelRunner(const Automaton &a, ParallelOptions opts)
     : opts_(std::move(opts))
 {

@@ -49,19 +49,6 @@ namespace azoo {
 
 class ThreadPool;
 
-/** Which routing a ParallelRunner plans per stream / per shard. */
-enum class ParallelEngine : uint8_t {
-    kNfa,     ///< interpreterPlan(): the enabled-set interpreter
-    kLazyDfa, ///< lazyDfaPlan(): the lazy-DFA hybrid
-    kPlanned, ///< planComponents(): profile-planned backends
-};
-
-/** The plan of @p a under @p engine's routing (profiles are inferred
- *  for kPlanned only). */
-std::shared_ptr<const CompiledPlan>
-compilePlan(const Automaton &a, ParallelEngine engine,
-            const PlanOptions &opts = PlanOptions());
-
 /** Configuration for a ParallelRunner. */
 struct ParallelOptions {
     /** Worker threads; 0 means all hardware threads. */
@@ -72,7 +59,7 @@ struct ParallelOptions {
      *  and measure the streaming path under parallelism. */
     size_t chunkBytes = 0;
     /** Routing for streams and component shards. */
-    ParallelEngine engine = ParallelEngine::kNfa;
+    EngineKind engine = EngineKind::kNfa;
     /** Plan knobs. lazyCacheBytes is the budget of each slot's and
      *  shard's private lazy cache (kLazyDfa, kPlanned); the rest
      *  steer planComponents() (kPlanned). One CompiledPlan is shared

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <utility>
 
 #include "engine/partition.hh"
 #include "engine/run_guard.hh"
@@ -200,6 +201,23 @@ lazyDfaPlan(const Automaton &a)
                            PlanBackend::kLazyDfa);
 }
 
+std::shared_ptr<const CompiledPlan>
+compilePlan(const Automaton &a, EngineKind kind, const PlanOptions &opts,
+            const std::vector<analysis::ComponentProfile> *profiles)
+{
+    if (kind == EngineKind::kPlanned) {
+        if (profiles)
+            return std::make_shared<const CompiledPlan>(a, *profiles, opts);
+        return std::make_shared<const CompiledPlan>(
+            a, analysis::inferProfiles(a, opts.infer), opts);
+    }
+    EnginePlan routing =
+        kind == EngineKind::kNfa ? interpreterPlan(a) : lazyDfaPlan(a);
+    return std::make_shared<const CompiledPlan>(
+        a, std::move(routing), std::vector<analysis::ComponentProfile>(),
+        opts);
+}
+
 // ---------------------------------------------------------------------
 // CompiledPlan
 
@@ -323,17 +341,14 @@ CompiledPlan::footprintBytes() const
 
 namespace {
 
-/** The stream of one interpreted group, or null for an empty group.
- *  It records every report, unguarded: results() merges and caps, and
- *  the planned session owns the poll clock. */
+/** The stream of one interpreted group, or null for an empty group
+ *  (PlannedSession::feed() sets its options). */
 std::unique_ptr<StreamingSession>
 laneFor(const CompiledPlan::Group &g)
 {
     if (g.empty())
         return nullptr;
-    auto lane = std::make_unique<StreamingSession>(g.engine);
-    lane->options = recordAllOptions(SimOptions());
-    return lane;
+    return std::make_unique<StreamingSession>(g.engine);
 }
 
 } // namespace
@@ -365,7 +380,12 @@ PlannedSession::PlannedSession(std::shared_ptr<const CompiledPlan> plan)
     if (p.lazy()) {
         lazy_ = std::make_unique<LazyDfaCache>(*p.lazy(),
                                                p.options().lazyCacheBytes);
-        lazyOnly_ = !prefilter_ && !anchored_ && !interp_;
+    }
+    if (!prefilter_ && !anchored_) {
+        if (lazy_ && !interp_)
+            sole_ = SoleLane::kLazy;
+        else if (interp_ && !lazy_)
+            sole_ = SoleLane::kInterp;
     }
 }
 
@@ -375,18 +395,18 @@ PlannedSession::feed(const uint8_t *data, size_t len)
     if (stopped())
         return 0;
     const uint64_t prefix = plan_->anchoredPrefix();
-    // A sole lazy lane emits canonical reports, so it tallies under
-    // the caller's options; otherwise every lane records everything
-    // for results() to merge. The session polls the guard.
+    // A sole lane tallies under the caller's options, so its record
+    // cap holds as the stream grows; otherwise every lane records
+    // everything for results() to merge. The session polls the guard.
     SimOptions laneOpts = recordAllOptions(SimOptions());
     laneOpts.computeActiveSet = options.computeActiveSet;
-    if (lazyOnly_) {
+    if (sole_ != SoleLane::kNone) {
         laneOpts = options;
         laneOpts.guard = nullptr;
     }
     for (StreamingSession *lane : {anchored_.get(), interp_.get()}) {
         if (lane)
-            lane->options.computeActiveSet = options.computeActiveSet;
+            lane->options = laneOpts;
     }
     size_t done = 0;
     while (done < len) {
@@ -431,31 +451,42 @@ PlannedSession::feed(const uint8_t *data, size_t len)
 }
 
 void
-PlannedSession::finishLazyOnly(SimResult &out) const
+PlannedSession::finishSole(SimResult &out) const
 {
     out.symbols = t_;
     out.guardStatus = guardStatus_;
-    out.lazyFlushes = lazy_->flushes() - lazyFlushes0_;
-    out.lazyStates = lazy_->states();
+    if (sole_ == SoleLane::kLazy) {
+        out.lazyFlushes = lazy_->flushes() - lazyFlushes0_;
+        out.lazyStates = lazy_->states();
+        return;
+    }
+    // Original ids, then canonical order: the interpreter emits a
+    // cycle's reports in propagation order.
+    const std::vector<ElementId> &toGlobal = plan_->interp().toGlobal;
+    for (Report &r : out.reports)
+        r.element = toGlobal[r.element];
+    canonicalizeReports(out);
 }
 
 SimResult
 PlannedSession::takeResults()
 {
-    if (!lazyOnly_)
+    if (sole_ == SoleLane::kNone)
         return results();
-    SimResult out = std::move(lazyResult_);
-    lazyResult_ = SimResult();
-    finishLazyOnly(out);
+    SimResult out = sole_ == SoleLane::kLazy
+        ? std::exchange(lazyResult_, SimResult())
+        : interp_->takeResults();
+    finishSole(out);
     return out;
 }
 
 SimResult
 PlannedSession::results() const
 {
-    if (lazyOnly_) {
-        SimResult out = lazyResult_;
-        finishLazyOnly(out);
+    if (sole_ != SoleLane::kNone) {
+        SimResult out = sole_ == SoleLane::kLazy ? lazyResult_
+                                                 : interp_->results();
+        finishSole(out);
         return out;
     }
     const CompiledPlan &p = *plan_;

@@ -45,9 +45,12 @@
  * own kernel from per-session state. Block execution is a session fed
  * once: PlannedEngine::simulate() is reset(), feed(), results(). The
  * lanes record every report and results() merges them canonically,
- * except when the lazy DFA is the only lane: its reports already come
- * out canonical, so it runs under the caller's options and its
- * tallies are the result.
+ * except when the lazy DFA or the interpreter is the plan's only
+ * lane: that lane runs under the caller's options (so
+ * reportRecordLimit caps what it keeps) and its tallies are the
+ * result — the lazy DFA's reports already come out canonical, and
+ * the interpreter's are sorted as canonicalizeReports() sorts
+ * NfaEngine's.
  *
  * Guard semantics: the session is the only poll clock of a planned
  * run. It polls the caller's RunGuard every kGuardCheckIntervalSymbols
@@ -217,6 +220,22 @@ class CompiledPlan
     uint64_t anchoredPrefix_ = 0;
 };
 
+/** The engine kinds that are routings of one CompiledPlan. */
+enum class EngineKind : uint8_t {
+    kNfa,     ///< interpreterPlan(): the enabled-set interpreter
+    kLazyDfa, ///< lazyDfaPlan(): the lazy-DFA hybrid
+    kPlanned, ///< planComponents(): profile-planned backends
+};
+
+/** Compile @p a under @p kind's routing. Only kPlanned reads
+ *  profiles: @p profiles (inferProfiles(a)) when given, inferred
+ *  otherwise. */
+std::shared_ptr<const CompiledPlan>
+compilePlan(const Automaton &a, EngineKind kind,
+            const PlanOptions &opts = PlanOptions(),
+            const std::vector<analysis::ComponentProfile> *profiles =
+                nullptr);
+
 /**
  * The executor of a CompiledPlan: chunked feeding with persistent
  * state, with the same canonical results as serial NfaEngine +
@@ -267,7 +286,7 @@ class PlannedSession
      *  cached now. */
     SimResult results() const;
 
-    /** results(), moving out what it would copy (a sole lazy lane's
+    /** results(), moving out what it would copy (a sole lane's
      *  report vector): the block callers' form. The session must be
      *  reset() before it is fed again. */
     SimResult takeResults();
@@ -300,16 +319,20 @@ class PlannedSession
     SimOptions options;
 
   private:
-    /** The lazy-result fields a sole lazy lane's tallies lack. */
-    void finishLazyOnly(SimResult &out) const;
+    /** The plan's only lane, when it is one that runs under the
+     *  caller's options (minus the guard) and tallies the result. */
+    enum class SoleLane : uint8_t { kNone, kLazy, kInterp };
+
+    /** Turn the sole lane's tallies @p out into the session's result:
+     *  the fields the lane does not know, and the interpreter's
+     *  reports mapped to original ids in canonical order. */
+    void finishSole(SimResult &out) const;
 
     std::shared_ptr<const CompiledPlan> plan_;
     std::unique_ptr<PrefilteredNfa::Session> prefilter_;
     std::unique_ptr<StreamingSession> anchored_, interp_;
     std::unique_ptr<LazyDfaCache> lazy_;
-    /** The lazy group is the plan's only lane: it runs under the
-     *  caller's options, and its tallies are the result. */
-    bool lazyOnly_ = false;
+    SoleLane sole_ = SoleLane::kNone;
     /** The lazy group's reports and active set since reset(). */
     SimResult lazyResult_;
     /** lazy_->flushes() at reset(). */

@@ -31,6 +31,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "core/automaton.hh"
@@ -74,6 +75,10 @@ class StreamingSession
 
     /** Results so far (offsets are absolute stream offsets). */
     const SimResult &results() const { return result_; }
+
+    /** Move the results out; the session must be reset() before it
+     *  is fed again. */
+    SimResult takeResults() { return std::move(result_); }
 
     /** Total symbols consumed. */
     uint64_t offset() const { return t_; }

@@ -80,13 +80,11 @@ MatchSessionPool::acquire()
         // components are interpreted instead.
         PlanOptions popts = gen_->spec.plan;
         popts.lazyCacheBytes = 0;
-        const Automaton &a = gen_->automaton;
-        plan_ = engine_ == ServeEngine::kPlanned
-            ? std::make_shared<const CompiledPlan>(a, gen_->profiles,
-                                                   popts)
-            : std::make_shared<const CompiledPlan>(
-                  a, interpreterPlan(a),
-                  std::vector<analysis::ComponentProfile>(), popts);
+        plan_ = compilePlan(gen_->automaton,
+                            engine_ == ServeEngine::kPlanned
+                                ? EngineKind::kPlanned
+                                : EngineKind::kNfa,
+                            popts, &gen_->profiles);
     }
     return std::make_unique<MatchSession>(plan_);
 }

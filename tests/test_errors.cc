@@ -558,7 +558,7 @@ alternatingInput(size_t n)
 /** A chunked, guarded batch under @p engine stops every stream where
  *  the serial guarded run stops, with the serial prefix's results. */
 void
-expectChunkedBatchHonoursGuardBudget(ParallelEngine engine)
+expectChunkedBatchHonoursGuardBudget(EngineKind engine)
 {
     Automaton a = twoComponentAutomaton();
     ParallelOptions popts;
@@ -600,14 +600,14 @@ expectChunkedBatchHonoursGuardBudget(ParallelEngine engine)
 
 TEST(ParallelErrors, ChunkedBatchHonoursGuardBudget)
 {
-    expectChunkedBatchHonoursGuardBudget(ParallelEngine::kNfa);
+    expectChunkedBatchHonoursGuardBudget(EngineKind::kNfa);
 }
 
 TEST(ParallelErrors, ChunkedLazyBatchHonoursGuardBudget)
 {
     // Counter-free, so the lazy DFA is the plan's only lane: it runs
     // under the session's poll clock with no merge.
-    expectChunkedBatchHonoursGuardBudget(ParallelEngine::kLazyDfa);
+    expectChunkedBatchHonoursGuardBudget(EngineKind::kLazyDfa);
 }
 
 TEST(ParallelErrors, ShardedTruncationCountersMatchSerialPrefix)
@@ -678,7 +678,7 @@ TEST(ParallelErrors, ShardedLazyTruncationMatchesSerialPrefix)
     Automaton a = twoComponentAutomaton();
     ParallelOptions popts;
     popts.threads = 2;
-    popts.engine = ParallelEngine::kLazyDfa;
+    popts.engine = EngineKind::kLazyDfa;
     RunGuard guard;
     guard.setSymbolBudget(3000);
     popts.sim.guard = &guard;

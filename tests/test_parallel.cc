@@ -143,7 +143,7 @@ TEST_P(ParallelVsSerial, ShardedMatchesSerial)
     // Same run on the lazy-DFA engine, with a budget small enough
     // that large components flush mid-stream: still bit-identical.
     ParallelOptions lazyOpts = popts;
-    lazyOpts.engine = ParallelEngine::kLazyDfa;
+    lazyOpts.engine = EngineKind::kLazyDfa;
     lazyOpts.plan.lazyCacheBytes = 64 * 1024;
     ParallelRunner lazyRunner(b.automaton, lazyOpts);
     SimResult lgot = lazyRunner.simulateSharded(b.input.data(), simLen);
@@ -174,7 +174,7 @@ TEST_P(ParallelVsSerial, BatchMatchesPerStreamSerial)
     BatchResult got = runner.runBatch(streams);
 
     ParallelOptions lazyOpts = popts;
-    lazyOpts.engine = ParallelEngine::kLazyDfa;
+    lazyOpts.engine = EngineKind::kLazyDfa;
     ParallelRunner lazyRunner(b.automaton, lazyOpts);
     BatchResult lgot = lazyRunner.runBatch(streams);
 
@@ -234,7 +234,7 @@ TEST(ParallelRunner, ChunkedBatchEqualsMonolithicBatch)
     // The lazy-DFA hybrid streams too: its counter components ride
     // the plan's interpreter lane across the same feed boundaries.
     ParallelOptions lazyChunked = chunked;
-    lazyChunked.engine = ParallelEngine::kLazyDfa;
+    lazyChunked.engine = EngineKind::kLazyDfa;
     ParallelRunner lazyRunner(b.automaton, lazyChunked);
     BatchResult lazyGot = lazyRunner.runBatch(streams);
 
@@ -351,7 +351,7 @@ TEST(ParallelRunner, LazyRunnerCompilesNoInterpreter)
             reg.counterValue("planner.assignments.lazy-dfa");
         ParallelOptions popts;
         popts.threads = threads;
-        popts.engine = ParallelEngine::kLazyDfa;
+        popts.engine = EngineKind::kLazyDfa;
         ParallelRunner runner(a, popts);
         EXPECT_EQ(reg.counterValue("engine.nfa.compiles"), compiles0)
             << threads << " threads";

@@ -555,7 +555,7 @@ TEST(ParallelPlanned, BatchShardedAndChunkedMatchSerial)
 
         ParallelOptions popts;
         popts.threads = 4;
-        popts.engine = ParallelEngine::kPlanned;
+        popts.engine = EngineKind::kPlanned;
         popts.sim = sim;
         ParallelRunner runner(b.automaton, popts);
 

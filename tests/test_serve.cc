@@ -884,6 +884,34 @@ TEST(ServeSession, EstimateWithinOrderOfMagnitudeOfMeasured)
     }
 }
 
+TEST(ServeSession, NfaSessionKeepsReportCapOverLongStream)
+{
+    // An nfa session keeps at most the reply's record cap however
+    // many reports its stream makes, so it stays within the estimate
+    // admission prices it at.
+    constexpr size_t kCap = 256;
+    const Automaton a = testAutomaton();
+    const auto in = testPayload(9, 1 << 20);
+    MatchSessionPool pool(a, ServeEngine::kNfa, PlanOptions(), kCap);
+    std::unique_ptr<MatchSession> s = pool.acquire();
+    RunGuard guard; // the server always installs one
+    s->options.guard = &guard;
+    s->options.reportRecordLimit = kCap;
+    for (size_t pos = 0; pos < in.size(); pos += 4096)
+        ASSERT_EQ(s->feed(in.data() + pos, 4096), 4096u);
+
+    const SimResult r = s->results();
+    SimResult serial = serialRun(a, in.data(), in.size());
+    ASSERT_GT(serial.reportCount, 10 * kCap);
+    EXPECT_EQ(r.reportCount, serial.reportCount);
+    EXPECT_EQ(r.reportingCycles, serial.reportingCycles);
+    ASSERT_EQ(r.reports.size(), kCap);
+    serial.reports.resize(kCap);
+    EXPECT_EQ(r.reports, serial.reports);
+    EXPECT_LE(s->footprintBytes(), pool.estimatedSessionBytes());
+    pool.release(std::move(s));
+}
+
 // ---------------------------------------------------------------
 // One compile per pool: sessions borrow it.
 

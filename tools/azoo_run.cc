@@ -246,9 +246,9 @@ main(int argc, char **argv)
         static_cast<size_t>(cli.getInt("chunk", 0));
     // The engines that are routings of one CompiledPlan.
     const bool routed = engine == "nfa" || lazy || planned;
-    const ParallelEngine kind = planned ? ParallelEngine::kPlanned
-                                : lazy  ? ParallelEngine::kLazyDfa
-                                        : ParallelEngine::kNfa;
+    const EngineKind kind = planned ? EngineKind::kPlanned
+                            : lazy  ? EngineKind::kLazyDfa
+                                    : EngineKind::kNfa;
     if ((batch || threads > 1) && !routed)
         tool::usageError("azoo_run: --batch/--threads require "
                          "--engine nfa, lazydfa, or auto");
