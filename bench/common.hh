@@ -16,11 +16,16 @@
  *
  * Benches that measure throughput additionally accept --json PATH and
  * emit their measurements through JsonReport so sweeps and CI can
- * diff numbers without screen-scraping the tables.
+ * diff numbers without screen-scraping the tables. Every report
+ * carries a "provenance" object (host, CPU, compiler, flags, build
+ * type, obs on/off) so two reports can be compared knowingly; the
+ * build facts come in as compile definitions from bench/CMakeLists.txt.
  */
 
 #ifndef AZOO_BENCH_COMMON_HH
 #define AZOO_BENCH_COMMON_HH
+
+#include <unistd.h>
 
 #include <fstream>
 #include <iomanip>
@@ -33,7 +38,18 @@
 #include "obs/obs.hh"
 #include "util/cli.hh"
 #include "util/logging.hh"
+#include "util/thread_pool.hh"
 #include "zoo/benchmark.hh"
+
+#ifndef AZOO_BUILD_TYPE
+#define AZOO_BUILD_TYPE "unknown"
+#endif
+#ifndef AZOO_CXX_COMPILER
+#define AZOO_CXX_COMPILER "unknown"
+#endif
+#ifndef AZOO_CXX_FLAGS
+#define AZOO_CXX_FLAGS "unknown"
+#endif
 
 namespace azoo {
 namespace bench {
@@ -97,6 +113,43 @@ jsonNum(double v)
     return os.str();
 }
 
+/** First "model name" line of /proc/cpuinfo ("unknown" without one). */
+inline std::string
+cpuModel()
+{
+    std::ifstream f("/proc/cpuinfo");
+    for (std::string line; std::getline(f, line);) {
+        if (line.rfind("model name", 0) != 0)
+            continue;
+        const size_t colon = line.find(':');
+        if (colon != std::string::npos && colon + 2 <= line.size())
+            return line.substr(colon + 2);
+    }
+    return "unknown";
+}
+
+/** The "provenance" object: where and how the report's numbers were
+ *  made. Keys: host, nproc, cpu, compiler, flags, build_type, obs. */
+inline void
+writeProvenance(std::ostream &os)
+{
+    char host[256] = {};
+    if (::gethostname(host, sizeof(host) - 1) != 0)
+        host[0] = '\0';
+    os << "{\"host\": ";
+    jsonEscape(os, host);
+    os << ", \"nproc\": " << ThreadPool::hardwareThreads()
+       << ", \"cpu\": ";
+    jsonEscape(os, cpuModel());
+    os << ", \"compiler\": ";
+    jsonEscape(os, AZOO_CXX_COMPILER);
+    os << ", \"flags\": ";
+    jsonEscape(os, AZOO_CXX_FLAGS);
+    os << ", \"build_type\": ";
+    jsonEscape(os, AZOO_BUILD_TYPE);
+    os << ", \"obs\": " << (obs::kEnabled ? "true" : "false") << "}";
+}
+
 /**
  * One measurement for --json output. The fixed fields are the ones
  * every throughput bench shares; anything bench-specific (active set,
@@ -113,7 +166,8 @@ struct JsonRow {
 
 /**
  * Accumulates JsonRow records and writes them as
- *   {"schema": "azoo-bench-1", "tool": ..., "rows": [...]}
+ *   {"schema": "azoo-bench-1", "tool": ..., "provenance": {...},
+ *    "metrics": {...}, "rows": [...]}
  * so every bench's --json output parses with the same three lines of
  * Python. Writing is a no-op when the path is empty, so callers can
  * pass the --json flag value straight through.
@@ -130,6 +184,8 @@ class JsonReport
     {
         os << "{\n  \"schema\": \"azoo-bench-1\",\n  \"tool\": ";
         jsonEscape(os, tool_);
+        os << ",\n  \"provenance\": ";
+        writeProvenance(os);
         // Registry snapshot at write time: whatever the bench's runs
         // recorded (cache hit rates, guard stops, ...) rides along
         // with the measurements. With AZOO_OBS=OFF this is the empty

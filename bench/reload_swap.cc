@@ -18,9 +18,11 @@
  * Self-hosts a serve::Server over a zoo benchmark (--name, default
  * Snort), writes its automaton to a temp ruleset file, and reloads
  * that file repeatedly while a closed-loop session load runs. Two
- * phases under the same load shape: baseline (no swaps), then the
- * swap phase. --json emits an azoo-bench-1 report (CI's bench-smoke
- * checks the committed BENCH_10.json against this schema).
+ * phases under the same load shape: baseline (--sessions sessions,
+ * no swaps), then the swap phase (rounds of --sessions sessions until
+ * all --swaps reload attempts are done). --json emits an azoo-bench-1
+ * report (CI's bench-smoke checks the committed BENCH_10.json against
+ * this schema).
  */
 
 #include <algorithm>
@@ -194,20 +196,23 @@ main(int argc, char **argv)
     PhaseResult baseline = runPhase(addr, corpus, sessions, bytesPer,
                                     chunk, threads, zcfg.seed);
 
-    // Phase 2: identical load with a reloader hammering swaps.
-    std::atomic<bool> loadDone{false};
+    // Phase 2: the same load with a reloader attempting --swaps
+    // swaps. The load repeats in rounds of --sessions sessions until
+    // every attempt is done, so the swaps all land under load however
+    // fast a round is.
+    std::atomic<bool> reloadsDone{false};
     std::vector<uint64_t> swapNs;
-    std::atomic<uint64_t> swapFailures{0};
+    uint64_t swapFailures = 0;
     std::thread reloader([&] {
-        while (!loadDone.load() && swapNs.size() < swaps) {
+        for (size_t k = 0; k < swaps; ++k) {
             const auto t0 = Clock::now();
             serve::Client ctl;
-            if (!ctl.connect(addr).ok()) {
-                ++swapFailures;
-                continue;
+            bool landed = false;
+            if (ctl.connect(addr).ok()) {
+                Expected<serve::Reply> r = ctl.reload(rulesetPath);
+                landed = r.ok() && r->status == serve::ReplyStatus::kOk;
             }
-            Expected<serve::Reply> r = ctl.reload(rulesetPath);
-            if (r.ok() && r->status == serve::ReplyStatus::kOk)
+            if (landed)
                 swapNs.push_back(nsSince(t0));
             else
                 ++swapFailures;
@@ -215,15 +220,27 @@ main(int argc, char **argv)
             std::this_thread::sleep_for(
                 std::chrono::milliseconds(10));
         }
+        reloadsDone.store(true);
     });
     const auto phaseStart = Clock::now();
-    PhaseResult during = runPhase(addr, corpus, sessions, bytesPer,
-                                  chunk, threads, zcfg.seed + 1);
+    PhaseResult during;
+    size_t duringSessions = 0;
+    for (uint64_t round = 0; round == 0 || !reloadsDone.load();
+         ++round) {
+        PhaseResult r = runPhase(addr, corpus, sessions, bytesPer,
+                                 chunk, threads, zcfg.seed + 1 + round);
+        during.latNs.insert(during.latNs.end(), r.latNs.begin(),
+                            r.latNs.end());
+        during.ok += r.ok;
+        during.other += r.other;
+        during.failed += r.failed;
+        duringSessions += sessions;
+    }
+    std::sort(during.latNs.begin(), during.latNs.end());
     const double duringSecs =
         std::chrono::duration_cast<std::chrono::duration<double>>(
             Clock::now() - phaseStart)
             .count();
-    loadDone.store(true);
     reloader.join();
 
     server.requestShutdown();
@@ -242,13 +259,13 @@ main(int argc, char **argv)
             static_cast<double>(baseP99)
         : 0;
     const double sessionsPerSec = duringSecs > 0
-        ? static_cast<double>(sessions) / duringSecs
+        ? static_cast<double>(duringSessions) / duringSecs
         : 0;
 
     std::cout << b.name << " @ " << addr << ": " << sessions
-              << " sessions/phase, " << threads
-              << " client threads, " << swapNs.size()
-              << " swaps landed (" << swapFailures.load()
+              << " baseline sessions, " << duringSessions
+              << " during swaps, " << threads << " client threads, "
+              << swapNs.size() << " swaps landed (" << swapFailures
               << " failed)\n";
     std::cout << "  swap latency p50 " << (swapP50 / 1000)
               << " us, p99 " << (swapP99 / 1000) << " us\n";
@@ -267,7 +284,7 @@ main(int argc, char **argv)
     row.engine = engineName;
     row.threads = threads;
     row.extra = {
-        {"sessions", static_cast<double>(sessions)},
+        {"sessions", static_cast<double>(duringSessions)},
         {"sessions_per_sec", sessionsPerSec},
         {"p50_ns", static_cast<double>(duringP50)},
         {"p99_ns", static_cast<double>(duringP99)},

@@ -3,8 +3,8 @@
  * Thread-scaling throughput of the parallel execution layer.
  *
  * Reports aggregate symbols/sec at 1/2/4/8 threads (and the machine's
- * hardware thread count if it is not in that list) for both axes of
- * ParallelRunner:
+ * hardware thread count if it is not in that list), or at --threads N
+ * alone when that flag is given, for both axes of ParallelRunner:
  *
  *  - batch: the benchmark's standard input split into --streams equal
  *    streams, fanned out across the pool;
@@ -94,7 +94,9 @@ main(int argc, char **argv)
 
     std::vector<size_t> counts = {1, 2, 4, 8};
     const size_t hw = ThreadPool::hardwareThreads();
-    if (std::find(counts.begin(), counts.end(), hw) == counts.end())
+    if (cli.has("threads"))
+        counts = {cfg.threads};
+    else if (std::find(counts.begin(), counts.end(), hw) == counts.end())
         counts.push_back(hw);
 
     std::cout << "Throughput scaling: " << name << " (scale="
@@ -130,7 +132,7 @@ main(int argc, char **argv)
         });
         const double shardRate = input.size() / shardSecs / 1e6;
 
-        if (threads == 1) {
+        if (threads == counts.front()) { // speedups are vs the first row
             batchBase = batchRate;
             shardBase = shardRate;
         }

@@ -97,7 +97,8 @@ Status setNonBlocking(int fd);
 /**
  * Bind and listen on @p addr ("unix:PATH" or "tcp:PORT"). A stale
  * unix socket file at PATH is unlinked first (daemons restart). The
- * returned fd is non-blocking and close-on-exec.
+ * returned fd is non-blocking and close-on-exec. A TCP listener has
+ * TCP_NODELAY set, and the connections it accepts inherit it.
  */
 Expected<Fd> listenOn(const std::string &addr, int backlog = 128);
 
@@ -105,7 +106,8 @@ Expected<Fd> listenOn(const std::string &addr, int backlog = 128);
 uint16_t localPort(int fd);
 
 /** Blocking connect to @p addr (same syntax as listenOn). The
- *  returned fd is blocking — clients use poll for timeouts. */
+ *  returned fd is blocking — clients use poll for timeouts — and a
+ *  TCP fd has TCP_NODELAY set. */
 Expected<Fd> connectTo(const std::string &addr);
 
 /** Accept one connection from a listening fd: IoResult.wouldBlock

@@ -1,15 +1,23 @@
 /**
  * @file
  * Unit tests for the util layer: RNG determinism and distribution
- * sanity, table formatting, string helpers, CLI parsing.
+ * sanity, table formatting, string helpers, CLI parsing, socket
+ * options.
  */
 
 #include <gtest/gtest.h>
+
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <set>
 #include <sstream>
 
 #include "util/cli.hh"
+#include "util/logging.hh"
+#include "util/net.hh"
 #include "util/rng.hh"
 #include "util/strings.hh"
 #include "util/table.hh"
@@ -176,6 +184,63 @@ TEST(Cli, ParsesFlagsAndValues)
     EXPECT_EQ(cli.get("name"), "zed");
     EXPECT_EQ(cli.getInt("missing", 42), 42);
     EXPECT_FALSE(cli.has("missing"));
+}
+
+/** Connect to a listener, then accept the pending connection. */
+void
+connectAndAccept(const std::string &addr, int listenFd, net::Fd &client,
+                 net::Fd &accepted)
+{
+    Expected<net::Fd> c = net::connectTo(addr);
+    ASSERT_TRUE(c.ok()) << c.status().message();
+    client = std::move(*c);
+    // connect() returned, so the connection is queued on the
+    // listener; a non-blocking accept finds it at once.
+    bool wouldBlock = false;
+    Expected<net::Fd> a = net::acceptOn(listenFd, wouldBlock);
+    ASSERT_TRUE(a.ok()) << a.status().message();
+    ASSERT_FALSE(wouldBlock);
+    accepted = std::move(*a);
+    ASSERT_TRUE(accepted.valid());
+}
+
+int
+noDelay(int fd)
+{
+    int v = -1;
+    socklen_t len = sizeof(v);
+    EXPECT_EQ(::getsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &v, &len), 0);
+    return v;
+}
+
+TEST(Net, TcpBothEndsSetNoDelay)
+{
+    Expected<net::Fd> lfd = net::listenOn("tcp:0");
+    ASSERT_TRUE(lfd.ok()) << lfd.status().message();
+    const uint16_t port = net::localPort(lfd->get());
+    ASSERT_NE(port, 0);
+
+    net::Fd client, accepted;
+    connectAndAccept(cat("tcp:", port), lfd->get(), client, accepted);
+    EXPECT_EQ(noDelay(client.get()), 1);
+    EXPECT_EQ(noDelay(accepted.get()), 1);
+}
+
+TEST(Net, UnixRoundTripStillWorks)
+{
+    const std::string path =
+        cat("/tmp/azoo-test-util-", ::getpid(), ".sock");
+    Expected<net::Fd> lfd = net::listenOn("unix:" + path);
+    ASSERT_TRUE(lfd.ok()) << lfd.status().message();
+
+    net::Fd client, accepted;
+    connectAndAccept("unix:" + path, lfd->get(), client, accepted);
+    const char msg[] = "ping";
+    ASSERT_TRUE(net::writeAll(client.get(), msg, sizeof(msg)).ok());
+    char got[sizeof(msg)] = {};
+    ASSERT_TRUE(net::readAll(accepted.get(), got, sizeof(got), 5000).ok());
+    EXPECT_STREQ(got, msg);
+    ::unlink(path.c_str());
 }
 
 } // namespace
