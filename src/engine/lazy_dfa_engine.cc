@@ -10,33 +10,53 @@ namespace azoo {
 
 namespace {
 
-/** FNV-1a over the raw words of a sorted local-id set. */
+/** One FNV-1a step per 32-bit word. */
 uint64_t
-hashSet(const std::vector<uint32_t> &set)
+mix(uint64_t h, uint32_t v)
 {
-    uint64_t h = 1469598103934665603ULL;
-    for (uint32_t v : set) {
-        h ^= v;
-        h *= 1099511628211ULL;
-    }
-    return h;
+    return (h ^ v) * 1099511628211ULL;
 }
 
-/** Accounted footprint of one interned state (members + one
- *  transition/report row + map overhead). */
+uint64_t
+mix(uint64_t h, const std::pair<ElementId, uint32_t> &rep)
+{
+    return mix(mix(h, rep.first), rep.second);
+}
+
+/** FNV-1a over a sequence's words, with the high half folded into
+ *  the low one (whose bits alone see only the items' low bits), so
+ *  that masking it picks an index slot. */
+template <typename T>
+uint64_t
+hashSeq(const T *items, size_t n)
+{
+    uint64_t h = 1469598103934665603ULL;
+    for (size_t i = 0; i < n; ++i)
+        h = mix(h, items[i]);
+    return h ^ (h >> 32);
+}
+
+/** Accounted footprint of one interned state: its members, its
+ *  transition row (4 B per class), its pool offset and two index
+ *  slots. */
 size_t
 stateBytes(size_t setSize, size_t numClasses)
 {
-    return 64 + setSize * sizeof(uint32_t) +
-        numClasses * 2 * sizeof(uint32_t);
+    return 16 + (setSize + numClasses) * sizeof(uint32_t);
 }
 
-/** Accounted footprint of one pooled report list. */
+/** Accounted footprint of one reporting transition: its side-table
+ *  edge, plus its report list when the list is new. */
 size_t
-poolBytes(size_t listSize)
+reportBytes(size_t newListSize)
 {
-    return 48 + listSize * sizeof(std::pair<ElementId, uint32_t>);
+    return 16 + newListSize * sizeof(std::pair<ElementId, uint32_t>);
 }
+
+/** Row storage is reserved up to this many bytes; a larger budget
+ *  reallocates rows past it rather than reserving address space it
+ *  may never touch. */
+constexpr size_t kMaxRowReserveBytes = size_t(1) << 30;
 
 } // namespace
 
@@ -123,65 +143,119 @@ LazyDfaTables::footprintBytes() const
 // ---------------------------------------------------------------------
 // LazyDfaCache
 
+template <typename T>
+uint32_t
+LazyDfaCache::SeqPool<T>::intern(const std::vector<T> &seq, bool &added)
+{
+    if (2 * (size() + 1) > slots_.size())
+        grow();
+    const size_t mask = slots_.size() - 1;
+    for (size_t i = hashSeq(seq.data(), seq.size()) & mask;;
+         i = (i + 1) & mask) {
+        const uint32_t id = slots_[i];
+        if (id == kUnknown) {
+            slots_[i] = size();
+            items_.insert(items_.end(), seq.begin(), seq.end());
+            begin_.push_back(static_cast<uint32_t>(items_.size()));
+            added = true;
+            return slots_[i];
+        }
+        if (length(id) == seq.size() &&
+            std::equal(seq.begin(), seq.end(), data(id))) {
+            added = false;
+            return id;
+        }
+    }
+}
+
+template <typename T>
+void
+LazyDfaCache::SeqPool<T>::grow()
+{
+    slots_.assign(std::max<size_t>(64, 2 * slots_.size()), kUnknown);
+    const size_t mask = slots_.size() - 1;
+    for (uint32_t id = 0; id < size(); ++id) {
+        size_t i = hashSeq(data(id), length(id)) & mask;
+        while (slots_[i] != kUnknown)
+            i = (i + 1) & mask;
+        slots_[i] = id;
+    }
+}
+
+template <typename T>
+void
+LazyDfaCache::SeqPool<T>::clear()
+{
+    items_.clear();
+    begin_.resize(1);
+    std::fill(slots_.begin(), slots_.end(), kUnknown);
+}
+
 LazyDfaCache::LazyDfaCache(const LazyDfaTables &tables, size_t cacheBytes)
     : t_(tables), budget_(cacheBytes)
 {
-    pool_.emplace_back(); // index 0 = the empty report list
     inNext_.assign(t_.elements(), 0);
+    // Every state charges at least an empty set's bytes, and the
+    // budget check lets the cache pass its budget by a few states
+    // (the progress guarantee, a seek()): reserve that many rows.
+    const size_t rowBytes = t_.numClasses * sizeof(uint32_t);
+    const size_t rows = budget_ / stateBytes(0, t_.numClasses) + 4;
+    next_.reserve(std::min(rows, kMaxRowReserveBytes / rowBytes) *
+                  t_.numClasses);
 }
 
 uint32_t
 LazyDfaCache::intern(const std::vector<uint32_t> &set)
 {
-    const uint64_t h = hashSet(set);
-    auto &bucket = buckets_[h];
-    for (uint32_t id : bucket) {
-        if (members_[id] == set)
-            return id;
+    bool added = false;
+    const uint32_t id = sets_.intern(set, added);
+    if (added) {
+        next_.resize(next_.size() + t_.numClasses, kUnknown);
+        bytesUsed_ += stateBytes(set.size(), t_.numClasses);
+        peakBytes_ = std::max(peakBytes_, bytesUsed_);
     }
-    const auto id = static_cast<uint32_t>(members_.size());
-    members_.push_back(set);
-    bucket.push_back(id);
-    next_.resize(members_.size() * t_.numClasses, kUnknown);
-    reportIdx_.resize(members_.size() * t_.numClasses, 0);
-    bytesUsed_ += stateBytes(set.size(), t_.numClasses);
     return id;
 }
 
-uint32_t
-LazyDfaCache::internReports(
-    const std::vector<std::pair<ElementId, uint32_t>> &reps)
+void
+LazyDfaCache::seek(const std::vector<uint32_t> &set)
 {
-    auto it = poolIds_.find(reps);
-    if (it != poolIds_.end())
-        return it->second;
-    const auto idx = static_cast<uint32_t>(pool_.size());
-    pool_.push_back(reps);
-    poolIds_.emplace(reps, idx);
-    bytesUsed_ += poolBytes(reps.size());
-    return idx;
+    const uint32_t known = sets_.size();
+    cur_ = intern(set);
+    // A set new to the cache (another stream's cursor) past the budget
+    // flushes, so that feeds which fill no cell (empty ones) cannot
+    // grow a lent cache past its reserved rows.
+    if (sets_.size() > known && bytesUsed_ > budget_ && known > 0) {
+        flushCache();
+        cur_ = intern(set);
+    }
+}
+
+void
+LazyDfaCache::cursor(std::vector<uint32_t> &out) const
+{
+    const uint32_t *p = sets_.data(cur_);
+    out.assign(p, p + sets_.length(cur_));
 }
 
 void
 LazyDfaCache::flushCache()
 {
-    members_.clear();
-    buckets_.clear();
+    sets_.clear();
     next_.clear();
-    reportIdx_.clear();
-    pool_.clear();
-    pool_.emplace_back();
-    poolIds_.clear();
+    reportEdges_.clear();
+    lists_.clear();
     cachedTransitions_ = 0;
     bytesUsed_ = 0;
     ++flushes_;
 }
 
-size_t
+uint32_t
 LazyDfaCache::fillCell(uint32_t &cur, uint32_t cls)
 {
-    // Copy: interning below may reallocate members_.
-    const std::vector<uint32_t> curSet = members_[cur];
+    // Copy: interning below may reallocate the set pool.
+    const uint32_t *curData = sets_.data(cur);
+    curScratch_.assign(curData, curData + sets_.length(cur));
     const uint8_t rep = t_.classRep[cls];
     const uint32_t word = rep >> 6;
     const uint64_t bit = uint64_t(1) << (rep & 63);
@@ -200,7 +274,7 @@ LazyDfaCache::fillCell(uint32_t &cur, uint32_t cls)
             }
         }
     };
-    for (uint32_t ls : curSet) {
+    for (uint32_t ls : curScratch_) {
         if (t_.label[ls][word] & bit)
             onMatch(ls);
     }
@@ -214,19 +288,25 @@ LazyDfaCache::fillCell(uint32_t &cur, uint32_t cls)
     // Budget check with a worst-case (both inserts are new) estimate.
     // Keeping at least the current and next state guarantees forward
     // progress even when a single transition overshoots the budget.
-    const size_t need = stateBytes(succScratch_.size(), t_.numClasses) +
-        poolBytes(repScratch_.size());
-    if (bytesUsed_ + need > budget_ && members_.size() > 2) {
+    size_t need = stateBytes(succScratch_.size(), t_.numClasses);
+    if (!repScratch_.empty())
+        need += reportBytes(repScratch_.size());
+    if (bytesUsed_ + need > budget_ && sets_.size() > 2) {
         flushCache();
-        cur = intern(curSet);
+        cur = intern(curScratch_);
     }
 
-    const uint32_t tgt = intern(succScratch_);
-    const uint32_t ridx =
-        repScratch_.empty() ? 0 : internReports(repScratch_);
-    const size_t cell = static_cast<size_t>(cur) * t_.numClasses + cls;
-    next_[cell] = tgt;
-    reportIdx_[cell] = ridx;
+    uint32_t cell = intern(succScratch_);
+    if (!repScratch_.empty()) {
+        bool added = false;
+        const uint32_t list = lists_.intern(repScratch_, added);
+        bytesUsed_ += reportBytes(added ? repScratch_.size() : 0);
+        peakBytes_ = std::max(peakBytes_, bytesUsed_);
+        reportEdges_.push_back({cell, list});
+        cell = kReportBit |
+            static_cast<uint32_t>(reportEdges_.size() - 1);
+    }
+    next_[static_cast<size_t>(cur) * t_.numClasses + cls] = cell;
     ++cachedTransitions_;
     return cell;
 }
@@ -236,8 +316,6 @@ LazyDfaCache::resume(uint64_t from, uint64_t to, const uint8_t *bytes,
                      const SimOptions &opts, SimResult &res)
 {
     constexpr uint64_t kPollMask = kGuardCheckIntervalSymbols - 1;
-    if (cur_ == kUnknown)
-        cur_ = intern(t_.start0);
     uint32_t cur = cur_;
     uint64_t hits = 0, misses = 0;
     uint64_t t = from;
@@ -258,35 +336,39 @@ LazyDfaCache::resume(uint64_t from, uint64_t to, const uint8_t *bytes,
             // (all-input starts excluded), so its size *is* the
             // active set for this cycle.
             if (opts.computeActiveSet)
-                res.totalEnabled += members_[cur].size();
+                res.totalEnabled += sets_.length(cur);
 
             const uint32_t cls = t_.classOf[bytes[t - from]];
-            size_t cell = static_cast<size_t>(cur) * t_.numClasses + cls;
-            if (next_[cell] == kUnknown) {
+            uint32_t cell =
+                next_[static_cast<size_t>(cur) * t_.numClasses + cls];
+            if (cell == kUnknown) {
                 cell = fillCell(cur, cls);
                 ++misses;
             } else {
                 ++hits;
             }
 
-            const uint32_t ridx = reportIdx_[cell];
-            if (ridx) {
-                const auto &list = pool_[ridx];
-                res.reportCount += list.size();
+            if (cell & kReportBit) {
+                const ReportEdge &edge = reportEdges_[cell & ~kReportBit];
+                const auto *list = lists_.data(edge.list);
+                const uint32_t n = lists_.length(edge.list);
+                res.reportCount += n;
                 ++res.reportingCycles;
                 if (opts.recordReports) {
-                    for (const auto &[el, code] : list) {
+                    for (uint32_t k = 0; k < n; ++k) {
                         if (res.reports.size() >= opts.reportRecordLimit)
                             break;
-                        res.reports.push_back({t, el, code});
+                        res.reports.push_back(
+                            {t, list[k].first, list[k].second});
                     }
                 }
                 if (opts.countByCode) {
-                    for (const auto &[el, code] : list)
-                        ++res.byCode[code];
+                    for (uint32_t k = 0; k < n; ++k)
+                        ++res.byCode[list[k].second];
                 }
+                cell = edge.next;
             }
-            cur = next_[cell];
+            cur = cell;
         }
     }
     cur_ = cur;
@@ -323,8 +405,9 @@ LazyDfaCache::noteRun(uint64_t symbols)
 size_t
 LazyDfaCache::footprintBytes() const
 {
-    return sizeof(*this) + bytesUsed_ + inNext_.capacity() +
-        succScratch_.capacity() * sizeof(uint32_t) +
+    return sizeof(*this) + peakBytes_ + inNext_.capacity() +
+        (curScratch_.capacity() + succScratch_.capacity()) *
+        sizeof(uint32_t) +
         repScratch_.capacity() * sizeof(repScratch_[0]);
 }
 
@@ -339,12 +422,17 @@ LazyDfaEngine::LazyDfaEngine(const Automaton &a,
     engine_ = std::make_unique<PlannedEngine>(
         compilePlan(a, EngineKind::kLazyDfa, po));
     tables_ = engine_->compiled().lazy();
-    cache_ = engine_->lazyCache();
     fallbackComponents_ = engine_->plan().backendCount[static_cast<size_t>(
         PlanBackend::kInterpreter)];
 }
 
 LazyDfaEngine::~LazyDfaEngine() = default;
+
+const LazyDfaCache *
+LazyDfaEngine::cache() const
+{
+    return engine_->lazyCache();
+}
 
 SimResult
 LazyDfaEngine::simulate(const uint8_t *input, size_t len,

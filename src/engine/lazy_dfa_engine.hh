@@ -24,7 +24,10 @@
  * cursor, the current DFA state id; resume() runs the one lazy
  * per-symbol loop from the cursor, so a stream may be fed in any
  * chunks, and since a flush re-interns the cursor in place, neither
- * reports nor the flush/state trajectory depend on the chunking.
+ * reports nor (on a cache of its own) the flush/state trajectory
+ * depend on the chunking. Between feeds a stream may keep just its
+ * cursor's state-set and seek() it into another cache: reports do not
+ * depend on which caches ran it, only the flush/state counters do.
  *
  * LazyDfaEngine is the standalone block engine: a PlannedEngine over
  * lazyDfaPlan(), which puts the counter components, which cannot be
@@ -41,8 +44,9 @@
  * not approximations.
  *
  * A cache (and so a LazyDfaEngine) must not be shared by concurrently
- * running threads: every PlannedSession, and so every ParallelRunner
- * slot and shard, owns a cache over its plan's shared tables.
+ * running threads. A PlannedSession runs its lazy lane on a cache it
+ * is lent for one feed (the serve pool lends each worker's) or on one
+ * of its own, which every ParallelRunner slot and shard has.
  */
 
 #ifndef AZOO_ENGINE_LAZY_DFA_ENGINE_HH
@@ -50,9 +54,8 @@
 
 #include <array>
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/automaton.hh"
@@ -113,17 +116,38 @@ struct LazyDfaTables {
 
 /**
  * An executor's half of a lazy DFA: a bounded transition cache over
- * borrowed tables (which must outlive it), and the cursor. The cache
- * stays warm across restart() — it is worth keeping across the
- * streams one executor runs — and is flushed only by its budget.
+ * borrowed tables (which must outlive it), and a cursor.
+ *
+ * The cursor belongs to whichever stream last seek()ed the cache, so
+ * one cache can serve many streams in turn: a stream keeps its
+ * cursor's state-set between feeds (cursor()) and seeks it back into
+ * any cache over the same tables before its next feed. The cache
+ * stays warm across streams and is flushed only by its budget.
+ *
+ * Layout: each interned state-set owns one row of numClasses 32-bit
+ * cells, so a state costs 4 B per class. A cell holds the next state
+ * id; when the transition reports, it holds kReportBit and an index
+ * into a side table of (next state, report list) edges instead, which
+ * the per-symbol loop reads only for such cells. Row storage is
+ * reserved once, to the budget, so a row never reallocates, and a
+ * flush clears every table but keeps its capacity: the bytes the
+ * cache accounts for are the bytes it holds.
  */
 class LazyDfaCache
 {
   public:
     LazyDfaCache(const LazyDfaTables &tables, size_t cacheBytes);
 
-    /** Put the cursor on the start state-set (start of a stream). */
-    void restart() { cur_ = kUnknown; }
+    const LazyDfaTables &tables() const { return t_; }
+
+    /** Put the cursor on the state-set @p set (sorted local ids;
+     *  tables().start0 at the start of a stream), interning it if the
+     *  cache does not hold it, after a flush if that passes the
+     *  budget. */
+    void seek(const std::vector<uint32_t> &set);
+
+    /** Copy the cursor's state-set into @p out (after a seek()). */
+    void cursor(std::vector<uint32_t> &out) const;
 
     /**
      * Run stream offsets [from, to) from the cursor; bytes[0] is
@@ -134,7 +158,8 @@ class LazyDfaCache
      * be null) is polled before every offset that is a multiple of
      * kGuardCheckIntervalSymbols; returns the offset reached: @p to,
      * or the poll point where the guard stopped the run
-     * (res.guardStatus then says why).
+     * (res.guardStatus then says why). The cursor must have been
+     * placed by seek().
      */
     uint64_t resume(uint64_t from, uint64_t to, const uint8_t *bytes,
                     const SimOptions &opts, SimResult &res);
@@ -146,52 +171,91 @@ class LazyDfaCache
     /** Whole-cache flushes since construction (cumulative). */
     uint64_t flushes() const { return flushes_; }
     /** State-sets currently interned. */
-    uint64_t states() const { return members_.size(); }
+    uint64_t states() const { return sets_.size(); }
     /** Computed (state, class) transition cells currently cached. */
     uint64_t transitions() const { return cachedTransitions_; }
     /** Current accounted cache footprint in bytes. */
     uint64_t bytesUsed() const { return bytesUsed_; }
+    /** Row cells reserved at construction; flushes never change it. */
+    size_t rowCapacity() const { return next_.capacity(); }
 
-    /** Resident bytes of the cache and its scratch. */
+    /** Resident bytes of the cache and its scratch: the accounted
+     *  high-water mark (a flush keeps its capacity) plus scratch. */
     size_t footprintBytes() const;
 
   private:
     static constexpr uint32_t kUnknown = ~uint32_t(0);
+    /** Cell bit: the rest of the cell indexes reportEdges_. */
+    static constexpr uint32_t kReportBit = uint32_t(1) << 31;
 
-    /** Intern a sorted local-id set; returns its state id. */
+    /** Sequences of T interned in one flat buffer under an
+     *  open-addressing index: ids are dense from 0, and clear() keeps
+     *  every buffer's capacity. */
+    template <typename T>
+    class SeqPool
+    {
+      public:
+        uint32_t
+        size() const
+        {
+            return static_cast<uint32_t>(begin_.size() - 1);
+        }
+        const T *data(uint32_t id) const { return items_.data() + begin_[id]; }
+        uint32_t length(uint32_t id) const
+        {
+            return begin_[id + 1] - begin_[id];
+        }
+        /** The id of @p seq; @p added says whether it was new. */
+        uint32_t intern(const std::vector<T> &seq, bool &added);
+        void clear();
+
+      private:
+        /** Double the index (at least 64 slots) and re-slot every
+         *  sequence. */
+        void grow();
+
+        std::vector<T> items_;
+        /** Sequence id is items_[begin_[id], begin_[id + 1]). */
+        std::vector<uint32_t> begin_{0};
+        /** Power-of-two open-addressing index of ids (kUnknown =
+         *  empty), at most half full. */
+        std::vector<uint32_t> slots_;
+    };
+
+    /** A reporting transition: where it goes and what it reports. */
+    struct ReportEdge {
+        uint32_t next;
+        uint32_t list;
+    };
+
+    /** Intern a sorted local-id set, charging a new one to the
+     *  budget; returns its state id. */
     uint32_t intern(const std::vector<uint32_t> &set);
 
-    /** Intern a sorted (element, code) report list; 0 = empty. */
-    uint32_t internReports(
-        const std::vector<std::pair<ElementId, uint32_t>> &reps);
-
-    /** Drop every interned state/transition/report list. */
+    /** Drop every interned state/transition/report list; capacities
+     *  are kept. */
     void flushCache();
 
     /** Compute + cache the transition for (cur, cls); may flush the
      *  cache, in which case @p cur is re-interned in place. Returns
-     *  the cell index of the now-filled transition. */
-    size_t fillCell(uint32_t &cur, uint32_t cls);
+     *  the now-filled cell. */
+    uint32_t fillCell(uint32_t &cur, uint32_t cls);
 
     const LazyDfaTables &t_;
     size_t budget_;
-    /** The current state id; kUnknown = the start state-set. */
-    uint32_t cur_ = kUnknown;
+    /** The current state id (set by seek()). */
+    uint32_t cur_ = 0;
 
-    /** members_[sid] = sorted local-id set of DFA state sid. */
-    std::vector<std::vector<uint32_t>> members_;
-    /** next_[sid * numClasses + cls]; kUnknown = not yet computed. */
+    /** State id -> sorted local-id set. */
+    SeqPool<uint32_t> sets_;
+    /** next_[sid * numClasses + cls]: a cell (kUnknown = not yet
+     *  computed). */
     std::vector<uint32_t> next_;
-    /** reportIdx_ parallel to next_; index into pool_ (0 = none). */
-    std::vector<uint32_t> reportIdx_;
-    /** Report lists, entries sorted by (element, code); pool_[0] is
-     *  the empty list. */
-    std::vector<std::vector<std::pair<ElementId, uint32_t>>> pool_;
-    std::map<std::vector<std::pair<ElementId, uint32_t>>, uint32_t>
-        poolIds_;
-    /** FNV hash of members -> state ids with that hash. */
-    std::unordered_map<uint64_t, std::vector<uint32_t>> buckets_;
+    std::vector<ReportEdge> reportEdges_;
+    /** Report lists, entries sorted by (element, code). */
+    SeqPool<std::pair<ElementId, uint32_t>> lists_;
     uint64_t bytesUsed_ = 0;
+    uint64_t peakBytes_ = 0;
     uint64_t flushes_ = 0;
     uint64_t cachedTransitions_ = 0;
 
@@ -200,6 +264,7 @@ class LazyDfaCache
 
     // Scratch for transition computation (reused).
     std::vector<uint8_t> inNext_;
+    std::vector<uint32_t> curScratch_;
     std::vector<uint32_t> succScratch_;
     std::vector<std::pair<ElementId, uint32_t>> repScratch_;
 };
@@ -241,25 +306,32 @@ class LazyDfaEngine
     /** Components interpreted by the NFA fallback (counters). */
     size_t fallbackComponents() const { return fallbackComponents_; }
 
-    // The cache's counters (see LazyDfaCache; 0 without a lazy part).
-    uint64_t cacheFlushes() const { return cache_ ? cache_->flushes() : 0; }
-    uint64_t cachedStates() const { return cache_ ? cache_->states() : 0; }
+    // The cache's counters (see LazyDfaCache; 0 without a lazy part
+    // or before the first simulate()).
+    uint64_t cacheFlushes() const { return cache() ? cache()->flushes() : 0; }
+    uint64_t cachedStates() const { return cache() ? cache()->states() : 0; }
     uint64_t
     cachedTransitions() const
     {
-        return cache_ ? cache_->transitions() : 0;
+        return cache() ? cache()->transitions() : 0;
     }
-    uint64_t cacheBytesUsed() const { return cache_ ? cache_->bytesUsed() : 0; }
+    uint64_t
+    cacheBytesUsed() const
+    {
+        return cache() ? cache()->bytesUsed() : 0;
+    }
 
     /** Input-symbol equivalence classes over the lazy partition. */
     uint32_t symbolClasses() const { return tables_ ? tables_->numClasses : 1; }
 
   private:
+    /** The session's lazy cache (null as for cacheFlushes()). */
+    const LazyDfaCache *cache() const;
+
     std::unique_ptr<PlannedEngine> engine_;
-    /** The plan's lazy tables and the session's cache (null without
-     *  a lazy part); both live as long as engine_. */
+    /** The plan's lazy tables (null without a lazy part); they live
+     *  as long as engine_. */
     const LazyDfaTables *tables_ = nullptr;
-    const LazyDfaCache *cache_ = nullptr;
     size_t fallbackComponents_ = 0;
 };
 

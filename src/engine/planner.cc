@@ -377,10 +377,9 @@ PlannedSession::PlannedSession(std::shared_ptr<const CompiledPlan> plan)
         prefilter_ = std::make_unique<PrefilteredNfa::Session>(*p.prefilter());
     anchored_ = laneFor(p.anchored());
     interp_ = laneFor(p.interp());
-    if (p.lazy()) {
-        lazy_ = std::make_unique<LazyDfaCache>(*p.lazy(),
-                                               p.options().lazyCacheBytes);
-    }
+    lazy_ = p.lazy();
+    if (lazy_)
+        lazyCursor_ = lazy_->start0;
     if (!prefilter_ && !anchored_) {
         if (lazy_ && !interp_)
             sole_ = SoleLane::kLazy;
@@ -390,10 +389,25 @@ PlannedSession::PlannedSession(std::shared_ptr<const CompiledPlan> plan)
 }
 
 size_t
-PlannedSession::feed(const uint8_t *data, size_t len)
+PlannedSession::feed(const uint8_t *data, size_t len, LazyDfaCache *lent)
 {
     if (stopped())
         return 0;
+    // The lazy lane runs on the lent cache, or on the session's own,
+    // from the cursor the session kept since its last feed.
+    LazyDfaCache *cache = nullptr;
+    uint64_t flushes0 = 0;
+    if (lazy_) {
+        if (!lent && !ownLazy_) {
+            ownLazy_ = std::make_unique<LazyDfaCache>(
+                *lazy_, plan_->options().lazyCacheBytes);
+        }
+        cache = lent ? lent : ownLazy_.get();
+        if (&cache->tables() != lazy_)
+            panic("PlannedSession: lent a cache over other tables");
+        flushes0 = cache->flushes();
+        cache->seek(lazyCursor_);
+    }
     const uint64_t prefix = plan_->anchoredPrefix();
     // A sole lane tallies under the caller's options, so its record
     // cap holds as the stream grows; otherwise every lane records
@@ -438,15 +452,19 @@ PlannedSession::feed(const uint8_t *data, size_t len)
             anchored_->feed(slice, static_cast<size_t>(std::min<uint64_t>(
                                        step, prefix - t_)));
         }
-        if (lazy_)
-            lazy_->resume(t_, t_ + step, slice, laneOpts, lazyResult_);
+        if (cache)
+            cache->resume(t_, t_ + step, slice, laneOpts, lazyResult_);
         if (interp_)
             interp_->feed(slice, step);
         done += step;
         t_ += step;
     }
-    if (lazy_)
-        lazy_->noteRun(done);
+    if (cache) {
+        cache->cursor(lazyCursor_);
+        lazyFlushes_ += cache->flushes() - flushes0;
+        lazyStates_ = cache->states();
+        cache->noteRun(done);
+    }
     return done;
 }
 
@@ -456,8 +474,8 @@ PlannedSession::finishSole(SimResult &out) const
     out.symbols = t_;
     out.guardStatus = guardStatus_;
     if (sole_ == SoleLane::kLazy) {
-        out.lazyFlushes = lazy_->flushes() - lazyFlushes0_;
-        out.lazyStates = lazy_->states();
+        out.lazyFlushes = lazyFlushes_;
+        out.lazyStates = lazyStates_;
         return;
     }
     // Original ids, then canonical order: the interpreter emits a
@@ -508,8 +526,8 @@ PlannedSession::results() const
         reports.insert(reports.end(), lazyResult_.reports.begin(),
                        lazyResult_.reports.end());
         out.totalEnabled += lazyResult_.totalEnabled;
-        out.lazyFlushes = lazy_->flushes() - lazyFlushes0_;
-        out.lazyStates = lazy_->states();
+        out.lazyFlushes = lazyFlushes_;
+        out.lazyStates = lazyStates_;
     }
     if (prefilter_) {
         const std::vector<Report> &pre = prefilter_->reports();
@@ -530,9 +548,9 @@ PlannedSession::reset()
             lane->reset();
     }
     if (lazy_) {
-        lazy_->restart();
+        lazyCursor_ = lazy_->start0;
         lazyResult_ = SimResult();
-        lazyFlushes0_ = lazy_->flushes();
+        lazyFlushes_ = lazyStates_ = 0;
     }
     t_ = 0;
     guardStatus_ = Status();
@@ -548,10 +566,10 @@ PlannedSession::footprintBytes() const
     }
     if (prefilter_)
         n += prefilter_->footprintBytes();
-    if (lazy_) {
-        n += lazy_->footprintBytes() +
-            lazyResult_.reports.capacity() * sizeof(Report);
-    }
+    n += lazyCursor_.capacity() * sizeof(uint32_t) +
+        lazyResult_.reports.capacity() * sizeof(Report);
+    if (ownLazy_)
+        n += ownLazy_->footprintBytes();
     return n;
 }
 

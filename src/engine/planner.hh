@@ -42,11 +42,15 @@
  * Execution: there is one executor, PlannedSession, which feeds every
  * chunk to the plan's lanes in turn — prefilter, anchored (only up to
  * the anchored prefix), lazy DFA and interpreter — each resuming its
- * own kernel from per-session state. Block execution is a session fed
- * once: PlannedEngine::simulate() is reset(), feed(), results(). The
- * lanes record every report and results() merges them canonically,
- * except when the lazy DFA or the interpreter is the plan's only
- * lane: that lane runs under the caller's options (so
+ * own kernel from per-session state. The lazy DFA's per-session state
+ * is only its cursor's state-set: its transition cache is lent for
+ * each feed (in serve, by the feeding worker: one cache per worker per
+ * generation) or, with no lender, is the session's own. Block
+ * execution is a session fed once: PlannedEngine::simulate() is
+ * reset(), feed(), results(). The lanes record every report and
+ * results() merges them canonically, except when the lazy DFA or the
+ * interpreter is the plan's only lane: that lane runs under the
+ * caller's options (so
  * reportRecordLimit caps what it keeps) and its tallies are the
  * result — the lazy DFA's reports already come out canonical, and
  * the interpreter's are sorted as canonicalizeReports() sorts
@@ -158,8 +162,9 @@ EnginePlan lazyDfaPlan(const Automaton &a);
  *
  * Immutable after construction and therefore safe to share across
  * threads. The one mutable backend state, the lazy DFA's transition
- * cache, is not part of it: each executor owns a LazyDfaCache over the
- * plan's lazy tables.
+ * cache, is not part of it: LazyDfaCaches over the plan's lazy tables
+ * belong to executors (a session's own) or to the serve pool's
+ * workers, which lend theirs to the sessions they feed.
  */
 class CompiledPlan
 {
@@ -244,11 +249,14 @@ compilePlan(const Automaton &a, EngineKind kind,
  *
  * The prefilter group streams through a PrefilteredNfa::Session, the
  * anchored and interpreter groups through StreamingSessions, and the
- * lazy group through this session's own LazyDfaCache, whose cursor
- * carries the DFA state across feeds. The session pins the plan and
- * holds only its own state, so many sessions (on any threads) share
- * one compile; the lazy cache is the only part that grows, up to the
- * plan's lazyCacheBytes, and it stays warm across reset().
+ * lazy group through a LazyDfaCache. Between feeds the session keeps
+ * only the lazy cursor's state-set; each feed seeks it into the cache
+ * the caller lends for that feed (the serve pool lends the feeding
+ * worker's), or, with no lender, into a private cache the session
+ * makes on its first such feed and keeps warm across reset(). The
+ * session pins the plan and holds only its own state, so many
+ * sessions (on any threads) share one compile; a cache is the only
+ * part that grows, up to the plan's lazyCacheBytes.
  *
  * It is also the serve layer's match session (serve::MatchSession)
  * and every ParallelRunner slot, whatever the engine kind.
@@ -268,8 +276,12 @@ class PlannedSession
     explicit PlannedSession(std::shared_ptr<const CompiledPlan> plan);
 
     /** Feed a chunk; returns bytes consumed (short exactly when
-     *  options.guard stopped the session). */
-    size_t feed(const uint8_t *data, size_t len);
+     *  options.guard stopped the session). The lazy group runs on
+     *  @p lent, a cache over this plan's lazy tables that the caller
+     *  owns and no other thread uses during the call, or on the
+     *  session's own cache when @p lent is null. */
+    size_t feed(const uint8_t *data, size_t len,
+                LazyDfaCache *lent = nullptr);
 
     size_t
     feed(const std::vector<uint8_t> &data)
@@ -282,8 +294,9 @@ class PlannedSession
 
     /** Merged canonical results over the consumed prefix (built on
      *  each call; offsets are absolute stream offsets). lazyFlushes
-     *  counts the cache flushes since reset(), lazyStates the states
-     *  cached now. */
+     *  counts the flushes during this stream's feeds, lazyStates the
+     *  states the cache of its last feed held after it; on lent
+     *  caches both depend on which other streams shared them. */
     SimResult results() const;
 
     /** results(), moving out what it would copy (a sole lane's
@@ -293,14 +306,17 @@ class PlannedSession
 
     uint64_t offset() const { return t_; }
 
-    /** Back to start-of-stream; results cleared, lazy cache kept. */
+    /** Back to start-of-stream; results cleared, own lazy cache
+     *  kept. */
     void reset();
 
     /** Resident bytes of this session's own state: the interpreted
      *  groups' scratch and reports, the prefilter session's scratch,
-     *  kept tail and reports, and the lazy cache. The shared plan is
-     *  counted once, by CompiledPlan::footprintBytes(). The serve
-     *  layer's admission estimate is validated against this. */
+     *  kept tail and reports, the lazy cursor and reports, and its own
+     *  lazy cache if it made one. The shared plan is counted once, by
+     *  CompiledPlan::footprintBytes(), and a lent cache by its owner.
+     *  The serve layer's admission estimate is validated against
+     *  this. */
     size_t footprintBytes() const;
 
     const EnginePlan &plan() const { return plan_->plan(); }
@@ -312,9 +328,9 @@ class PlannedSession
         return prefilter_ ? prefilter_->stats() : kNone;
     }
 
-    /** The lazy lane's transition cache (null when the plan has no
-     *  lazy group). */
-    const LazyDfaCache *lazyCache() const { return lazy_.get(); }
+    /** The session's own lazy cache (null when the plan has no lazy
+     *  group or every feed so far ran on a lent cache). */
+    const LazyDfaCache *lazyCache() const { return ownLazy_.get(); }
 
     SimOptions options;
 
@@ -331,12 +347,18 @@ class PlannedSession
     std::shared_ptr<const CompiledPlan> plan_;
     std::unique_ptr<PrefilteredNfa::Session> prefilter_;
     std::unique_ptr<StreamingSession> anchored_, interp_;
-    std::unique_ptr<LazyDfaCache> lazy_;
+    /** The plan's lazy tables (null without a lazy group). */
+    const LazyDfaTables *lazy_ = nullptr;
+    /** The cache of feeds with no lender, made by the first. */
+    std::unique_ptr<LazyDfaCache> ownLazy_;
+    /** The lazy cursor's state-set between feeds. */
+    std::vector<uint32_t> lazyCursor_;
     SoleLane sole_ = SoleLane::kNone;
     /** The lazy group's reports and active set since reset(). */
     SimResult lazyResult_;
-    /** lazy_->flushes() at reset(). */
-    uint64_t lazyFlushes0_ = 0;
+    /** Flushes during this stream's feeds; states of the cache that
+     *  ran the last one, after it. */
+    uint64_t lazyFlushes_ = 0, lazyStates_ = 0;
 
     uint64_t t_ = 0;
     Status guardStatus_;
@@ -387,7 +409,7 @@ class PlannedEngine
     const CompiledPlan &compiled() const { return *plan_; }
 
     /** The session's lazy transition cache (null without a lazy
-     *  group). */
+     *  group, or before the first simulate()). */
     const LazyDfaCache *lazyCache() const { return session_.lazyCache(); }
 
     /** Scan literals the prefilter backend sweeps for (0 when no

@@ -104,7 +104,7 @@ get32le(const uint8_t *p)
 Server::Server(RulesetGeneration gen, ServerOptions opts)
     : opts_(std::move(opts)), registry_(gen),
       pool_(std::make_shared<MatchSessionPool>(
-          std::move(gen), opts_.limits.maxReportRecords)),
+          std::move(gen), opts_.limits.maxReportRecords, workerCount())),
       manager_(opts_.limits, pool_->estimatedSessionBytes())
 {
     int fds[2] = {-1, -1};
@@ -136,7 +136,7 @@ Server::start()
         return fd.status();
     listener_ = std::move(*fd);
     port_ = net::localPort(listener_.get());
-    workers_ = std::make_unique<ThreadPool>(opts_.workers);
+    workers_ = std::make_unique<ThreadPool>(workerCount());
     return Status();
 }
 
@@ -315,8 +315,9 @@ Server::startNextReload()
     const TimePoint started = Clock::now();
     const RulesetSpec spec{opts_.engine, opts_.plan, ParseLimits()};
     const size_t maxRecords = opts_.limits.maxReportRecords;
+    const size_t workers = workers_->size();
     workers_->post([this, connId, path = std::move(path), epoch,
-                    started, spec, maxRecords] {
+                    started, spec, maxRecords, workers] {
         // Heavy lifting off the loop: file I/O, parse, verification,
         // profile inference, pool construction.
         auto res = std::make_unique<ReloadResult>();
@@ -326,8 +327,8 @@ Server::startNextReload()
             loadRulesetFile(path, spec, epoch);
         if (gen.ok()) {
             res->gen = std::move(*gen);
-            res->pool = std::make_shared<MatchSessionPool>(res->gen,
-                                                           maxRecords);
+            res->pool = std::make_shared<MatchSessionPool>(
+                res->gen, maxRecords, workers);
         } else {
             res->st = gen.status();
         }
@@ -549,6 +550,9 @@ Server::maybeDispatch(Conn &c)
     const uint64_t id = c.id;
     workers_->post([this, conn, id] {
         MatchSession &s = *conn->session;
+        // This worker's lazy cache (of the session's generation) runs
+        // the session's lazy DFA for every chunk below.
+        const size_t worker = ThreadPool::currentWorker();
         for (;;) {
             std::vector<uint8_t> chunk;
             {
@@ -560,7 +564,7 @@ Server::maybeDispatch(Conn &c)
                 conn->inboxBytes -= chunk.size();
             }
             if (!s.stopped())
-                s.feed(chunk.data(), chunk.size());
+                conn->pool->feed(s, chunk.data(), chunk.size(), worker);
             // Once the guard stops the session, remaining chunks are
             // drained and discarded: the result covers the consumed
             // prefix and the REPLY will say why.

@@ -206,6 +206,14 @@ class Server
     using Clock = std::chrono::steady_clock;
     using TimePoint = Clock::time_point;
 
+    /** Engine worker threads: opts_.workers, 0 resolved. Every
+     *  session pool has a lazy cache slot per worker. */
+    size_t
+    workerCount() const
+    {
+        return opts_.workers ? opts_.workers : ThreadPool::hardwareThreads();
+    }
+
     /** Connection / session state machine. */
     enum class ConnState : uint8_t {
         kAwaitOpen, ///< accepted; no OPEN yet

@@ -1,5 +1,6 @@
 #include "serve/session_manager.hh"
 
+#include "obs/obs.hh"
 #include "serve/ruleset.hh"
 #include "util/logging.hh"
 
@@ -28,11 +29,22 @@ estimateBytes(const Automaton &a, size_t maxReportRecords)
         (64u << 10);
 }
 
+/** Sum of the live worker caches' footprintBytes(), across every
+ *  live generation. */
+obs::Gauge &
+workerCacheGauge()
+{
+    static obs::Gauge &g =
+        obs::Registry::global().gauge("serve.lazy.worker_cache_bytes");
+    return g;
+}
+
 } // namespace
 
 MatchSessionPool::MatchSessionPool(
-    std::shared_ptr<const CompiledRuleset> gen, size_t maxReportRecords)
-    : gen_(std::move(gen))
+    std::shared_ptr<const CompiledRuleset> gen, size_t maxReportRecords,
+    size_t workers)
+    : gen_(std::move(gen)), workerCaches_(workers)
 {
     if (!gen_)
         panic("MatchSessionPool: null generation");
@@ -42,14 +54,18 @@ MatchSessionPool::MatchSessionPool(
 
 MatchSessionPool::MatchSessionPool(const Automaton &a, ServeEngine engine,
                                    const PlanOptions &popts,
-                                   size_t maxReportRecords)
+                                   size_t maxReportRecords, size_t workers)
     : MatchSessionPool(
           makeInlineRuleset(a, RulesetSpec{engine, popts, ParseLimits()}),
-          maxReportRecords)
+          maxReportRecords, workers)
 {
 }
 
-MatchSessionPool::~MatchSessionPool() = default;
+MatchSessionPool::~MatchSessionPool()
+{
+    for (const WorkerCache &w : workerCaches_)
+        workerCacheGauge().add(-static_cast<int64_t>(w.gaugedBytes));
+}
 
 uint64_t
 MatchSessionPool::epoch() const
@@ -73,20 +89,33 @@ MatchSessionPool::acquire()
     // to the first acquire so that building a pool (at start-up, or
     // on a reload worker) stays cheap.
     if (!plan_) {
-        // No lazy cache in pooled sessions: a cache is per session,
-        // and Snort's fills its 8 MiB budget (seed-1 traced
-        // layerbench run: engine.lazy.flushes 0.29 per 1 MiB scan),
-        // so it would add about 8 MiB of RSS per live session. Cyclic
-        // components are interpreted instead.
-        PlanOptions popts = gen_->spec.plan;
-        popts.lazyCacheBytes = 0;
         plan_ = compilePlan(gen_->automaton,
                             engine_ == ServeEngine::kPlanned
                                 ? EngineKind::kPlanned
                                 : EngineKind::kNfa,
-                            popts, &gen_->profiles);
+                            gen_->spec.plan, &gen_->profiles);
     }
     return std::make_unique<MatchSession>(plan_);
+}
+
+size_t
+MatchSessionPool::feed(MatchSession &s, const uint8_t *data, size_t len,
+                       size_t worker)
+{
+    // plan_ is set: s came from acquire().
+    if (!plan_->lazy() || worker >= workerCaches_.size())
+        return s.feed(data, len);
+    WorkerCache &w = workerCaches_[worker];
+    if (!w.cache) {
+        w.cache = std::make_unique<LazyDfaCache>(
+            *plan_->lazy(), plan_->options().lazyCacheBytes);
+    }
+    const size_t done = s.feed(data, len, w.cache.get());
+    const size_t bytes = w.cache->footprintBytes();
+    workerCacheGauge().add(static_cast<int64_t>(bytes) -
+                           static_cast<int64_t>(w.gaugedBytes));
+    w.gaugedBytes = bytes;
+    return done;
 }
 
 void

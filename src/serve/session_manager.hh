@@ -16,7 +16,10 @@
  *    CompiledPlan, on the first acquire()) and every session
  *    borrows it, holding only per-stream state; reset() is
  *    O(counters + start states), so a pooled session costs one
- *    scratch allocation per concurrency slot. The pool's correctness
+ *    scratch allocation per concurrency slot. The pool also owns one
+ *    lazy-DFA cache per serve worker, which it lends to every session
+ *    that worker feeds: lazy-DFA memory grows with the workers, not
+ *    the sessions. The pool's correctness
  *    contract — a reused session behaves bit-identically to a fresh
  *    one, including after a guard stop — is what the reset-reuse
  *    regression in tests/test_streaming.cc pins across the zoo.
@@ -41,6 +44,7 @@
 #include <vector>
 
 #include "analysis/profile.hh"
+#include "engine/lazy_dfa_engine.hh"
 #include "engine/planner.hh"
 #include "engine/report.hh"
 #include "serve/protocol.hh"
@@ -76,7 +80,8 @@ using MatchSession = PlannedSession;
 /** Which engine backs pooled sessions. */
 enum class ServeEngine : uint8_t {
     kNfa,     ///< interpreterPlan() (enabled-set interpreter)
-    kPlanned, ///< the profile-routed plan, without a lazy cache
+    kPlanned, ///< the profile-routed plan; its lazy DFA runs on the
+              ///< feeding worker's cache (MatchSessionPool::feed)
 };
 
 /**
@@ -92,6 +97,13 @@ enum class ServeEngine : uint8_t {
  * reload swaps in a whole new pool — so a pooled session can never be
  * reused across rulesets, and a retired generation dies exactly when
  * its pool (and therefore its last session) does.
+ *
+ * Lazy-DFA caches: the plan keeps the generation's lazyCacheBytes,
+ * and the pool holds one LazyDfaCache slot per serve worker, filled
+ * on that worker's first feed() and only ever touched by it. They are
+ * a fixed cost per generation (workers x lazyCacheBytes at most), so
+ * admission does not price them per session; the
+ * serve.lazy.worker_cache_bytes gauge sums the live ones.
  */
 class MatchSessionPool
 {
@@ -100,27 +112,44 @@ class MatchSessionPool
      *  come from the generation (inferred at compile/load time, once,
      *  not per session). @p maxReportRecords is the effective
      *  per-reply record cap (ServeLimits::maxReportRecords), sizing
-     *  the report-buffer term of estimatedSessionBytes(). */
+     *  the report-buffer term of estimatedSessionBytes(). @p workers
+     *  is the serve ThreadPool's size: one lazy cache slot each. */
     explicit MatchSessionPool(
         std::shared_ptr<const CompiledRuleset> gen,
-        size_t maxReportRecords = ServeLimits().maxReportRecords);
+        size_t maxReportRecords = ServeLimits().maxReportRecords,
+        size_t workers = 0);
 
     /** Compatibility path for callers with a bare automaton: wraps
      *  @p a (copied) in an inline epoch-1 generation. */
     MatchSessionPool(const Automaton &a, ServeEngine engine,
                      const PlanOptions &popts = PlanOptions(),
                      size_t maxReportRecords =
-                         ServeLimits().maxReportRecords);
+                         ServeLimits().maxReportRecords,
+                     size_t workers = 0);
 
     ~MatchSessionPool();
+
+    MatchSessionPool(const MatchSessionPool &) = delete;
+    MatchSessionPool &operator=(const MatchSessionPool &) = delete;
 
     std::unique_ptr<MatchSession> acquire();
     void release(std::unique_ptr<MatchSession> s);
 
+    /**
+     * Feed @p s, a session of this pool, on serve worker @p worker
+     * (ThreadPool::currentWorker() of the calling worker), lending it
+     * that worker's lazy cache; the cache is made on the worker's
+     * first feed. Only worker @p worker may pass its index. An index
+     * past the pool's workers (ThreadPool::kNoWorker off a worker
+     * thread) feeds on the session's own cache instead.
+     */
+    size_t feed(MatchSession &s, const uint8_t *data, size_t len,
+                size_t worker);
+
     /** Estimated resident bytes of one session's own state (scratch,
-     *  window buffers, report records); the admission controller's
-     *  memory unit. The shared compile is fixed per generation and
-     *  not priced per session. */
+     *  window buffers, report records, lazy cursor); the admission
+     *  controller's memory unit. The shared compile and the worker
+     *  caches are fixed per generation and not priced per session. */
     size_t estimatedSessionBytes() const { return sessionBytes_; }
 
     /** Sessions constructed so far (reuse keeps this at the
@@ -137,12 +166,21 @@ class MatchSessionPool
     uint64_t epoch() const;
 
   private:
+    /** One serve worker's lazy cache and the bytes of it the gauge
+     *  holds. */
+    struct WorkerCache {
+        std::unique_ptr<LazyDfaCache> cache;
+        size_t gaugedBytes = 0;
+    };
+
     std::shared_ptr<const CompiledRuleset> gen_;
     ServeEngine engine_;
     /** The generation's compile (engine_'s routing), built by the
      *  first acquire(); sessions pin it too. */
     std::shared_ptr<const CompiledPlan> plan_;
     std::vector<std::unique_ptr<MatchSession>> free_;
+    /** Indexed by worker; sized at construction, never resized. */
+    std::vector<WorkerCache> workerCaches_;
     size_t created_ = 0;
     size_t sessionBytes_ = 0;
 };

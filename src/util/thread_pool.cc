@@ -7,6 +7,19 @@
 
 namespace azoo {
 
+namespace {
+
+/** This thread's worker index (ThreadPool::currentWorker()). */
+thread_local size_t tlsWorker = ThreadPool::kNoWorker;
+
+} // namespace
+
+size_t
+ThreadPool::currentWorker()
+{
+    return tlsWorker;
+}
+
 size_t
 ThreadPool::hardwareThreads()
 {
@@ -86,6 +99,7 @@ ThreadPool::trySteal(size_t self, std::function<void()> &out)
 void
 ThreadPool::workerLoop(size_t self)
 {
+    tlsWorker = self;
     std::function<void()> task;
     for (;;) {
         if (tryPopOwn(self, task) || trySteal(self, task)) {

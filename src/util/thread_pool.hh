@@ -85,6 +85,18 @@ class ThreadPool
     /** std::thread::hardware_concurrency with a floor of 1. */
     static size_t hardwareThreads();
 
+    /** currentWorker() off every pool's worker threads. */
+    static constexpr size_t kNoWorker = ~size_t(0);
+
+    /**
+     * The calling thread's index among its pool's workers, in
+     * [0, size()), or kNoWorker when it is no pool's worker. A task
+     * posted to one pool uses it to index per-worker mutable state —
+     * the serve pool's lazy-DFA caches — without locks: a worker runs
+     * one task at a time.
+     */
+    static size_t currentWorker();
+
   private:
     struct WorkerQueue {
         std::mutex mutex;

@@ -362,7 +362,9 @@ TEST(LazyDfa, TinyBudgetFlushesMidStreamAndStaysExact)
     Automaton a = boundedRepeatAutomaton(24);
     NfaEngine nfa(a);
     LazyDfaOptions lopts;
-    lopts.cacheBytes = 2048; // absurdly small: forces eviction
+    // Absurdly small: the ~25 state-sets this input visits take
+    // about 1.9 KB at 4 B per class, so this forces eviction.
+    lopts.cacheBytes = 1024;
     LazyDfaEngine lazy(a, lopts);
 
     Rng rng(3);

@@ -144,7 +144,7 @@ TEST_P(ParallelVsSerial, ShardedMatchesSerial)
     // that large components flush mid-stream: still bit-identical.
     ParallelOptions lazyOpts = popts;
     lazyOpts.engine = EngineKind::kLazyDfa;
-    lazyOpts.plan.lazyCacheBytes = 64 * 1024;
+    lazyOpts.plan.lazyCacheBytes = 32 * 1024;
     ParallelRunner lazyRunner(b.automaton, lazyOpts);
     SimResult lgot = lazyRunner.simulateSharded(b.input.data(), simLen);
     EXPECT_EQ(lgot.reportCount, expect.reportCount);

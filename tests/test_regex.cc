@@ -199,9 +199,12 @@ randomPattern(Rng &rng, int depth)
     for (int t = 0; t < terms; ++t) {
         std::string piece;
         if (depth > 0 && rng.nextBool(0.3)) {
-            piece = "(" + randomPattern(rng, depth - 1);
-            if (rng.nextBool(0.5))
-                piece += "|" + randomPattern(rng, depth - 1);
+            piece = "(";
+            piece += randomPattern(rng, depth - 1);
+            if (rng.nextBool(0.5)) {
+                piece += "|";
+                piece += randomPattern(rng, depth - 1);
+            }
             piece += ")";
         } else {
             piece = atom();
@@ -210,10 +213,18 @@ randomPattern(Rng &rng, int depth)
           case 0: piece += "*"; break;
           case 1: piece += "+"; break;
           case 2: piece += "?"; break;
-          case 3:
-            piece += "{" + std::to_string(1 + rng.nextBelow(3)) + "," +
-                std::to_string(2 + rng.nextBelow(3)) + "}";
+          case 3: {
+            // The upper bound is drawn first: the order GCC gave the
+            // draws when they shared one expression, which fixed
+            // each seed's pattern.
+            const std::string hi = std::to_string(2 + rng.nextBelow(3));
+            piece += "{";
+            piece += std::to_string(1 + rng.nextBelow(3));
+            piece += ",";
+            piece += hi;
+            piece += "}";
             break;
+          }
           default: break;
         }
         p += piece;
@@ -262,7 +273,8 @@ class RegexAnchoredDifferential : public testing::TestWithParam<int>
 TEST_P(RegexAnchoredDifferential, AnchoredEnginesAgree)
 {
     Rng rng(5000 + GetParam());
-    std::string pattern = "^" + randomPattern(rng, 1);
+    std::string pattern = "^";
+    pattern += randomPattern(rng, 1);
     Regex rx;
     std::string err;
     if (!tryParseRegex(pattern, RegexFlags(), rx, err))

@@ -35,6 +35,7 @@
 #include "util/logging.hh"
 #include "util/net.hh"
 #include "util/rng.hh"
+#include "util/thread_pool.hh"
 #include "zoo/registry.hh"
 
 namespace azoo {
@@ -910,6 +911,160 @@ TEST(ServeSession, NfaSessionKeepsReportCapOverLongStream)
     EXPECT_EQ(r.reports, serial.reports);
     EXPECT_LE(s->footprintBytes(), pool.estimatedSessionBytes());
     pool.release(std::move(s));
+}
+
+// ---------------------------------------------------------------
+// Per-worker lazy caches: a pool lends each serve worker's one
+// LazyDfaCache to every session that worker feeds.
+
+/** Snort: its auto plan runs the dot-star rules on the lazy DFA. */
+zoo::Benchmark
+snortBenchmark(size_t inputBytes)
+{
+    zoo::ZooConfig cfg;
+    cfg.scale = 0.05;
+    cfg.inputBytes = inputBytes;
+    return zoo::makeBenchmark("Snort", cfg);
+}
+
+int64_t
+workerCacheBytes()
+{
+    return obs::Registry::global()
+        .gauge("serve.lazy.worker_cache_bytes")
+        .value();
+}
+
+TEST(ServeLazy, WorkerCachesKeepSessionsWithinEstimate)
+{
+    // Sessions fed chunk by chunk on a 4-worker ThreadPool, each chunk
+    // through MatchSessionPool::feed() with the worker's index, as the
+    // server's workers feed them: whichever worker takes a chunk lends
+    // its cache. The sessions hold no cache of their own, so each
+    // stays within the estimate admission prices it at.
+    constexpr size_t kSessions = 8;
+    constexpr size_t kStreamBytes = 16 * 1024;
+    constexpr size_t kChunk = 4096;
+    const zoo::Benchmark b = snortBenchmark(kSessions * kStreamBytes);
+    const int64_t gauge0 = workerCacheBytes();
+    {
+        MatchSessionPool pool(b.automaton, ServeEngine::kPlanned,
+                              PlanOptions(), ServeLimits().maxReportRecords,
+                              4);
+        ThreadPool workers(4);
+        std::vector<std::unique_ptr<MatchSession>> live;
+        for (size_t i = 0; i < kSessions; ++i)
+            live.push_back(pool.acquire());
+        ASSERT_GT(live[0]->plan().backendCount[static_cast<size_t>(
+                      PlanBackend::kLazyDfa)],
+                  0u);
+        for (size_t off = 0; off < kStreamBytes; off += kChunk) {
+            workers.parallelFor(kSessions, [&](size_t i) {
+                const uint8_t *p = b.input.data() + i * kStreamBytes;
+                ASSERT_EQ(pool.feed(*live[i], p + off, kChunk,
+                                    ThreadPool::currentWorker()),
+                          kChunk);
+            });
+        }
+        for (size_t i = 0; i < kSessions; ++i) {
+            SCOPED_TRACE(i);
+            MatchSession &s = *live[i];
+            const SimResult want = serialRun(
+                b.automaton, b.input.data() + i * kStreamBytes, kStreamBytes);
+            const SimResult got = s.results();
+            EXPECT_EQ(got.symbols, want.symbols);
+            EXPECT_EQ(got.reportCount, want.reportCount);
+            EXPECT_EQ(got.reportingCycles, want.reportingCycles);
+            EXPECT_EQ(got.reports, want.reports);
+            EXPECT_EQ(s.lazyCache(), nullptr);
+            EXPECT_LE(s.footprintBytes(), pool.estimatedSessionBytes());
+        }
+        if (obs::kEnabled) {
+            EXPECT_GT(workerCacheBytes(), gauge0);
+        }
+        for (auto &s : live)
+            pool.release(std::move(s));
+    }
+    // A retired pool takes its caches out of the gauge.
+    EXPECT_EQ(workerCacheBytes(), gauge0);
+}
+
+TEST(ServeLazy, ConcurrentPlannedSessionsOnFourWorkersMatchSerial)
+{
+    // Concurrent auto sessions on 4 workers, in uneven DATA frames
+    // (some of one byte), while RELOADs of the same ruleset swap in
+    // generations with fresh worker caches: every reply must be the
+    // serial NfaEngine answer.
+    constexpr size_t kStreams = 6;
+    constexpr size_t kStreamBytes = 16 * 1024;
+    constexpr size_t kThreads = 4;
+    constexpr size_t kPerThread = 6;
+    const zoo::Benchmark b = snortBenchmark(kStreams * kStreamBytes);
+    const std::string path = writeRulesetFile("lazy_snort.azml", b.automaton);
+    std::vector<std::vector<uint8_t>> streams;
+    std::vector<SimResult> want;
+    for (size_t k = 0; k < kStreams; ++k) {
+        const uint8_t *p = b.input.data() + k * kStreamBytes;
+        streams.emplace_back(p, p + kStreamBytes);
+        want.push_back(serialRun(b.automaton, p, kStreamBytes));
+    }
+
+    const int64_t gauge0 = workerCacheBytes();
+    ServerOptions opts;
+    opts.engine = ServeEngine::kPlanned;
+    opts.workers = 4;
+    ServerHarness h(b.automaton, opts);
+    std::thread reloader([&] {
+        for (int i = 0; i < 3; ++i) {
+            Client ctl;
+            if (!ctl.connect(h.addr()).ok())
+                break;
+            Expected<Reply> r = ctl.reload(path, 20000);
+            EXPECT_TRUE(r.ok() && r->status == ReplyStatus::kOk);
+            std::this_thread::sleep_for(std::chrono::milliseconds(30));
+        }
+    });
+    std::atomic<size_t> matched{0};
+    std::vector<std::thread> clients;
+    for (size_t t = 0; t < kThreads; ++t) {
+        clients.emplace_back([&, t] {
+            Rng rng(900 + t);
+            for (size_t i = 0; i < kPerThread; ++i) {
+                const size_t k = (t + i) % kStreams;
+                const std::vector<uint8_t> &in = streams[k];
+                Client c;
+                ASSERT_TRUE(c.connect(h.addr()).ok());
+                ASSERT_TRUE(c.open(0, 10000).ok());
+                ASSERT_TRUE(c.admitted());
+                for (size_t pos = 0; pos < in.size();) {
+                    const size_t n = std::min<size_t>(
+                        rng.nextBool(0.1) ? 1 : 1 + rng.nextBelow(3000),
+                        in.size() - pos);
+                    ASSERT_TRUE(c.send(in.data() + pos, n).ok());
+                    pos += n;
+                }
+                Expected<Reply> r = c.finish(20000);
+                ASSERT_TRUE(r.ok()) << r.status().str();
+                EXPECT_EQ(r->status, ReplyStatus::kOk);
+                EXPECT_EQ(r->symbols, want[k].symbols);
+                EXPECT_EQ(r->reportCount, want[k].reportCount);
+                EXPECT_EQ(r->reports, want[k].reports);
+                matched += r->reports == want[k].reports;
+            }
+        });
+    }
+    for (std::thread &c : clients)
+        c.join();
+    reloader.join();
+    EXPECT_EQ(matched.load(), kThreads * kPerThread);
+    // The last generation may have served nothing yet: one more
+    // session gives a worker of it a cache, which the gauge shows.
+    const Reply last = runOneSession(h.addr(), streams[0]);
+    EXPECT_EQ(last.reports, want[0].reports);
+    if (obs::kEnabled) {
+        EXPECT_GT(workerCacheBytes(), gauge0);
+    }
+    EXPECT_EQ(h.shutdown(), 0);
 }
 
 // ---------------------------------------------------------------

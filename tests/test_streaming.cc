@@ -19,6 +19,7 @@
 #include "engine/run_guard.hh"
 #include "engine/streaming.hh"
 #include "util/fault.hh"
+#include "util/logging.hh"
 #include "regex/glushkov.hh"
 #include "regex/parser.hh"
 #include "util/rng.hh"
@@ -487,6 +488,140 @@ TEST(SharedCompile, SessionsOnFourThreadsMatchSerial)
         EXPECT_EQ(engine.use_count(), 1);
         EXPECT_EQ(plan.use_count(), 1);
     }
+}
+
+// ---------------------------------------------------------------
+// Lent lazy caches. A serve worker lends its one LazyDfaCache to every
+// session it feeds, so between two feeds a session's lazy DFA may move
+// to another worker's cache, and the cache it left may have been
+// flushed by other streams. The session keeps only its cursor's
+// state-set; every reported field must stay bit-identical to serial
+// NfaEngine whatever caches ran it.
+
+TEST(LentLazyCache, StreamsMigrateAcrossCachesBitIdentically)
+{
+    constexpr size_t kStreamBytes = 16 * 1024;
+    zoo::ZooConfig cfg;
+    cfg.scale = 0.05;
+    cfg.inputBytes = 2 * kStreamBytes;
+    const zoo::Benchmark b = zoo::makeBenchmark("Snort", cfg);
+    SimOptions opts;
+    opts.countByCode = true;
+    const NfaEngine serial(b.automaton);
+    std::vector<uint8_t> streams[2];
+    SimResult want[2];
+    for (size_t k = 0; k < 2; ++k) {
+        const uint8_t *p = b.input.data() + k * kStreamBytes;
+        streams[k].assign(p, p + kStreamBytes);
+        want[k] = canon(serial.simulate(streams[k], opts));
+    }
+    ASSERT_GT(want[0].reportCount + want[1].reportCount, 0u);
+
+    const std::vector<analysis::ComponentProfile> profiles =
+        analysis::inferProfiles(b.automaton);
+    PlanOptions flushing;
+    flushing.lazyCacheBytes = 4096;
+    // The profiled plan (lazy lane beside the others) and the lazydfa
+    // routing (Snort has no counters: the lazy DFA is the sole lane),
+    // each with the default budget and one that flushes between feeds.
+    for (EngineKind kind : {EngineKind::kPlanned, EngineKind::kLazyDfa}) {
+        for (const PlanOptions &popts : {PlanOptions(), flushing}) {
+            const auto plan =
+                compilePlan(b.automaton, kind, popts, &profiles);
+            ASSERT_NE(plan->lazy(), nullptr);
+            for (size_t caches : {size_t(2), size_t(3)}) {
+                const std::string label =
+                    cat(kind == EngineKind::kPlanned ? "auto" : "lazydfa",
+                        ", cache ", popts.lazyCacheBytes, " B, ", caches,
+                        " caches");
+                std::vector<std::unique_ptr<LazyDfaCache>> lent;
+                for (size_t c = 0; c < caches; ++c) {
+                    lent.push_back(std::make_unique<LazyDfaCache>(
+                        *plan->lazy(), popts.lazyCacheBytes));
+                }
+                // Two sessions fed in turn, chunk j on cache j % caches,
+                // chunks of 1 byte 30% of the time.
+                PlannedSession sess[2] = {PlannedSession(plan),
+                                          PlannedSession(plan)};
+                size_t pos[2] = {0, 0};
+                Rng rng(77 + caches);
+                for (size_t j = 0; pos[0] < kStreamBytes ||
+                     pos[1] < kStreamBytes;
+                     ++j) {
+                    const size_t k = pos[j % 2] < kStreamBytes ? j % 2
+                                                              : 1 - j % 2;
+                    sess[k].options = opts;
+                    const size_t n = std::min<size_t>(
+                        rng.nextBool(0.3) ? 1 : 1 + rng.nextBelow(3000),
+                        kStreamBytes - pos[k]);
+                    ASSERT_EQ(sess[k].feed(streams[k].data() + pos[k], n,
+                                           lent[j % caches].get()),
+                              n);
+                    pos[k] += n;
+                }
+                uint64_t flushes = 0;
+                for (const auto &c : lent)
+                    flushes += c->flushes();
+                if (popts.lazyCacheBytes == flushing.lazyCacheBytes) {
+                    EXPECT_GT(flushes, 0u)
+                        << label << ": the small budget no longer flushes";
+                }
+                for (size_t k = 0; k < 2; ++k) {
+                    const std::string what = cat(label, ", stream ", k);
+                    expectSameResult(canon(sess[k].results()), want[k],
+                                     false, what);
+                    // Every feed was lent a cache.
+                    EXPECT_EQ(sess[k].lazyCache(), nullptr) << what;
+                }
+            }
+        }
+    }
+}
+
+TEST(LentLazyCache, FlushKeepsRowCapacityAndBudget)
+{
+    // The cache reserves its rows once, to the budget: flush cycles
+    // never grow them, and what footprintBytes() reports (the
+    // accounted high-water mark plus scratch) stays within the budget
+    // plus one state's slack.
+    zoo::ZooConfig cfg;
+    cfg.scale = 0.05;
+    cfg.inputBytes = 64 * 1024;
+    const zoo::Benchmark b = zoo::makeBenchmark("Snort", cfg);
+    constexpr size_t kBudget = 64 * 1024;
+    PlanOptions popts;
+    popts.lazyCacheBytes = kBudget;
+    const auto plan = compilePlan(b.automaton, EngineKind::kLazyDfa, popts);
+    const LazyDfaTables &tables = *plan->lazy();
+    LazyDfaCache cache(tables, kBudget);
+    const size_t rows = cache.rowCapacity();
+    ASSERT_GE(rows * sizeof(uint32_t), kBudget / 2);
+    const size_t slack = sizeof(LazyDfaCache) + 32 * tables.elements() +
+        4 * tables.numClasses + 64;
+
+    SimResult res;
+    uint64_t flushes = 0;
+    for (int round = 0; round < 4; ++round) {
+        cache.seek(tables.start0);
+        cache.resume(0, b.input.size(), b.input.data(), SimOptions(), res);
+        EXPECT_GT(cache.flushes(), flushes) << "round " << round;
+        flushes = cache.flushes();
+        EXPECT_EQ(cache.rowCapacity(), rows) << "round " << round;
+        EXPECT_LE(cache.bytesUsed(), kBudget) << "round " << round;
+        EXPECT_LE(cache.footprintBytes(), kBudget + slack)
+            << "round " << round;
+    }
+
+    // Seeks of sets new to the cache with no feed between them (other
+    // streams' cursors, empty feeds on a lent cache) flush rather than
+    // grow the rows.
+    const uint32_t sets = std::min<uint32_t>(tables.elements(), 1000);
+    ASSERT_GT(sets * sizeof(uint32_t) * tables.numClasses, 2 * kBudget);
+    for (uint32_t i = 0; i < sets; ++i)
+        cache.seek({i});
+    EXPECT_GT(cache.flushes(), flushes);
+    EXPECT_EQ(cache.rowCapacity(), rows);
+    EXPECT_LE(cache.footprintBytes(), kBudget + slack);
 }
 
 } // namespace

@@ -158,7 +158,7 @@ TEST_P(ZooEngineEquivalence, LazyDfaIsBitIdenticalToNfa)
     std::sort(ref.reports.begin(), ref.reports.end());
 
     LazyDfaOptions tiny;
-    tiny.cacheBytes = 4096;
+    tiny.cacheBytes = 2048;
     for (const auto &lopts : {LazyDfaOptions(), tiny}) {
         LazyDfaEngine lazy(b.automaton, lopts);
         SimResult got = lazy.simulate(b.input, opts);
